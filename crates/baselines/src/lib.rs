@@ -39,10 +39,12 @@
 #![deny(missing_debug_implementations)]
 
 mod badge;
+mod method;
 mod pattern;
 mod qp_selector;
 
 pub use badge::BadgeSelector;
 pub use hotspot_active::{RandomSelector, UncertaintySelector};
+pub use method::ActiveMethod;
 pub use pattern::{PatternMatchOutcome, PatternMatcher};
 pub use qp_selector::QpSelector;

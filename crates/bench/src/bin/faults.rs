@@ -24,11 +24,8 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    run_active_method, run_active_method_checkpointed, run_active_method_faulty,
-    run_active_method_faulty_checkpointed, run_active_method_faulty_sharded,
-    run_active_method_faulty_sharded_checkpointed, run_active_method_sharded,
-    run_active_method_sharded_checkpointed, try_generate, write_json, ActiveMethod,
-    CheckpointedSequence, ExperimentArgs, FaultyMethodResult, ShardSpec,
+    try_generate, write_json, ActiveMethod, CheckpointedSequence, ExperimentArgs,
+    FaultyMethodResult, RunPlan,
 };
 use hotspot_layout::BenchmarkSpec;
 use hotspot_litho::FaultRates;
@@ -52,25 +49,22 @@ fn main() {
     let bench = try_generate(&spec, args.seed).expect("benchmark generation succeeds");
     let config = SamplingConfig::for_benchmark(bench.len());
     let mut sequence = CheckpointedSequence::from_args(&args);
-    let shard = ShardSpec::from_args(&args);
-
-    let baseline = match (sequence.as_mut(), shard.as_ref()) {
-        (Some(seq), Some(spec)) => run_active_method_sharded_checkpointed(
-            ActiveMethod::Ours,
-            &bench,
-            &config,
-            args.seed,
-            spec,
-            seq,
-        ),
-        (Some(seq), None) => {
-            run_active_method_checkpointed(ActiveMethod::Ours, &bench, &config, args.seed, seq)
-        }
-        (None, Some(spec)) => {
-            run_active_method_sharded(ActiveMethod::Ours, &bench, &config, args.seed, spec)
-        }
-        (None, None) => run_active_method(ActiveMethod::Ours, &bench, &config, args.seed),
+    // Every cell is one entropy-sampler run, sharded as `--workers` asks
+    // and durable under `--checkpoint-dir`; only the oracle faults vary.
+    let entropy = RunPlan {
+        repeats: 1,
+        ..args.plan(ActiveMethod::Ours)
     };
+    let mut run = |faults: Option<(FaultRates, usize)>| {
+        let plan = RunPlan {
+            faults,
+            ..entropy.clone()
+        };
+        let records = plan.run(&bench, &config, args.seed, sequence.as_mut());
+        plan.faulty_result(&bench, &records)
+    };
+
+    let baseline = run(None);
     println!(
         "baseline ({}): acc {:.2}%  litho {}",
         bench.spec().name,
@@ -87,23 +81,15 @@ fn main() {
     let transient_sweep: Vec<FaultyMethodResult> = TRANSIENT_RATES
         .iter()
         .map(|&transient| {
-            let r = run_faulty(
-                &bench,
-                &config,
-                args.seed,
-                FaultRates::transient_only(transient),
-                1,
-                &mut sequence,
-                &shard,
-            );
+            let r = run(Some((FaultRates::transient_only(transient), 1)));
             print_row(&r, transient);
             r
         })
         .collect();
 
     // Axis 2: silent label flips, with and without quorum re-labelling.
-    let flip_sweep_raw = flip_sweep(&bench, &config, &args, 1, &mut sequence, &shard);
-    let flip_sweep_quorum = flip_sweep(&bench, &config, &args, 3, &mut sequence, &shard);
+    let flip_sweep_raw = flip_sweep(&mut run, 1);
+    let flip_sweep_quorum = flip_sweep(&mut run, 3);
 
     write_json(
         &args.out,
@@ -119,57 +105,9 @@ fn main() {
     args.finish_telemetry();
 }
 
-fn run_faulty(
-    bench: &hotspot_layout::GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    sequence: &mut Option<CheckpointedSequence>,
-    shard: &Option<ShardSpec>,
-) -> FaultyMethodResult {
-    match (sequence.as_mut(), shard.as_ref()) {
-        (Some(seq), Some(spec)) => run_active_method_faulty_sharded_checkpointed(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            spec,
-            seq,
-        ),
-        (Some(seq), None) => run_active_method_faulty_checkpointed(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            seq,
-        ),
-        (None, Some(spec)) => run_active_method_faulty_sharded(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            spec,
-        ),
-        (None, None) => {
-            run_active_method_faulty(ActiveMethod::Ours, bench, config, seed, rates, quorum)
-        }
-    }
-}
-
 fn flip_sweep(
-    bench: &hotspot_layout::GeneratedBenchmark,
-    config: &SamplingConfig,
-    args: &ExperimentArgs,
+    run: &mut impl FnMut(Option<(FaultRates, usize)>) -> FaultyMethodResult,
     quorum: usize,
-    sequence: &mut Option<CheckpointedSequence>,
-    shard: &Option<ShardSpec>,
 ) -> Vec<FaultyMethodResult> {
     println!(
         "\nlabel-flip sweep ({})",
@@ -186,18 +124,11 @@ fn flip_sweep(
     FLIP_RATES
         .iter()
         .map(|&flip| {
-            let r = run_faulty(
-                bench,
-                config,
-                args.seed,
-                FaultRates {
-                    flip,
-                    ..FaultRates::default()
-                },
-                quorum,
-                sequence,
-                shard,
-            );
+            let rates = FaultRates {
+                flip,
+                ..FaultRates::default()
+            };
+            let r = run(Some((rates, quorum)));
             println!(
                 "{:>10.2} {:>8.2} {:>8} {:>8} {:>8} {:>8}",
                 flip,

@@ -10,8 +10,7 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    evaluated_specs, run_active_method, try_generate, write_json, ActiveMethod, ExperimentArgs,
-    MethodResult,
+    evaluated_specs, try_generate, write_json, ActiveMethod, ExperimentArgs, RunPlan,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -38,7 +37,6 @@ fn main() {
         for method in methods {
             // Accuracy level -> litho values observed at that level.
             let mut by_level: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-            let mut raw: Vec<MethodResult> = Vec::new();
             for iterations in [
                 base.iterations / 2,
                 base.iterations,
@@ -46,13 +44,14 @@ fn main() {
             ] {
                 let mut config = base.clone();
                 config.iterations = iterations.max(1);
-                for repeat in 0..args.repeats {
-                    let result =
-                        run_active_method(method, &bench, &config, args.seed + repeat as u64);
+                let plan = RunPlan {
+                    repeats: args.repeats,
+                    ..RunPlan::new(method)
+                };
+                for record in plan.run(&bench, &config, args.seed, None) {
                     // 1% accuracy buckets.
-                    let level = (result.accuracy * 100.0).round() as i64;
-                    by_level.entry(level).or_default().push(result.litho as f64);
-                    raw.push(result);
+                    let level = (record.accuracy * 100.0).round() as i64;
+                    by_level.entry(level).or_default().push(record.litho as f64);
                 }
             }
             println!("  {:<6} accuracy -> mean litho:", method.label());

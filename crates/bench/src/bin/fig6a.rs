@@ -6,7 +6,7 @@
 //! beat every fixed setting on both criteria.
 
 use hotspot_active::{SamplingConfig, WeightMode};
-use hotspot_bench::{run_active_method, try_generate, write_json, ActiveMethod, ExperimentArgs};
+use hotspot_bench::{try_generate, write_json, ActiveMethod, ExperimentArgs, RunPlan};
 use hotspot_layout::BenchmarkSpec;
 use serde::Serialize;
 
@@ -45,19 +45,14 @@ fn main() {
     for (name, mode) in settings {
         let mut config = base.clone();
         config.weight_mode = mode;
-        let (mut acc, mut litho) = (0.0f64, 0.0f64);
-        for repeat in 0..args.repeats {
-            let r = run_active_method(
-                ActiveMethod::Ours,
-                &bench,
-                &config,
-                args.seed + repeat as u64,
-            );
-            acc += r.accuracy;
-            litho += r.litho as f64;
-        }
-        acc /= args.repeats as f64;
-        litho /= args.repeats as f64;
+        let plan = RunPlan {
+            repeats: args.repeats,
+            ..RunPlan::new(ActiveMethod::Ours)
+        };
+        let records = plan.run(&bench, &config, args.seed, None);
+        let n = records.len() as f64;
+        let acc = records.iter().map(|r| r.accuracy).sum::<f64>() / n;
+        let litho = records.iter().map(|r| r.litho as f64).sum::<f64>() / n;
         println!("{:>6} {:>10.2} {:>12.1}", name, acc * 100.0, litho);
         results.push(WeightResult {
             setting: name,

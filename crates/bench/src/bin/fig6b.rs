@@ -8,8 +8,8 @@
 use hotspot_active::SamplingConfig;
 use hotspot_baselines::PatternMatcher;
 use hotspot_bench::{
-    evaluated_specs, run_active_method, run_pattern_method, runtime_seconds, try_generate,
-    write_json, ActiveMethod, ExperimentArgs,
+    evaluated_specs, run_pattern_method, runtime_seconds, try_generate, write_json, ActiveMethod,
+    ExperimentArgs, RunPlan,
 };
 use serde::Serialize;
 
@@ -35,11 +35,15 @@ fn main() {
     for spec in &specs {
         let bench = try_generate(spec, args.seed).expect("benchmark generation succeeds");
         let config = SamplingConfig::for_benchmark(bench.len());
+        let active = |method| {
+            let plan = RunPlan::new(method);
+            plan.method_result(&bench, &plan.run(&bench, &config, args.seed, None))
+        };
         let cells = [
             run_pattern_method(PatternMatcher::exact(), &bench),
-            run_active_method(ActiveMethod::Ts, &bench, &config, args.seed),
-            run_active_method(ActiveMethod::Qp, &bench, &config, args.seed),
-            run_active_method(ActiveMethod::Ours, &bench, &config, args.seed),
+            active(ActiveMethod::Ts),
+            active(ActiveMethod::Qp),
+            active(ActiveMethod::Ours),
         ];
         for (total, cell) in totals.iter_mut().zip(&cells) {
             total.1 += cell.litho;

@@ -36,19 +36,10 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    render_table, run_active_method_avg, run_active_method_avg_checkpointed,
-    run_active_method_avg_sharded, run_active_method_avg_sharded_checkpointed, try_generate,
-    write_json, ActiveMethod, CheckpointedSequence, ExperimentArgs, MethodResult, ShardSpec,
-    TableRow,
+    render_table, try_generate, write_json, ActiveMethod, CheckpointedSequence, ExperimentArgs,
+    MethodResult, RunPlan, ShardSpec, TableRow,
 };
 use hotspot_layout::BenchmarkSpec;
-
-const METHODS: [ActiveMethod; 4] = [
-    ActiveMethod::Ours,
-    ActiveMethod::Ts,
-    ActiveMethod::Qp,
-    ActiveMethod::Random,
-];
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -57,36 +48,12 @@ fn main() {
     let config = SamplingConfig::for_benchmark(bench.len());
 
     let mut sequence = CheckpointedSequence::from_args(&args);
-    let shard = ShardSpec::from_args(&args);
-    let mut results: Vec<MethodResult> = METHODS
+    let mut results: Vec<MethodResult> = ActiveMethod::ALL
         .iter()
-        .map(|&method| match (sequence.as_mut(), shard.as_ref()) {
-            (Some(seq), Some(spec)) => run_active_method_avg_sharded_checkpointed(
-                method,
-                &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                spec,
-                seq,
-            ),
-            (Some(seq), None) => run_active_method_avg_checkpointed(
-                method,
-                &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                seq,
-            ),
-            (None, Some(spec)) => run_active_method_avg_sharded(
-                method,
-                &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                spec,
-            ),
-            (None, None) => run_active_method_avg(method, &bench, &config, args.seed, args.repeats),
+        .map(|&method| {
+            let plan = args.plan(method);
+            let records = plan.run(&bench, &config, args.seed, sequence.as_mut());
+            plan.method_result(&bench, &records)
         })
         .collect();
 
@@ -95,27 +62,25 @@ fn main() {
     // worker-count-invariant, so only the wall-time column carries new
     // information — exactly what the gate's `--tolerance-time` mode reads.
     for &workers in &args.workers_sweep {
-        let spec = ShardSpec {
-            workers,
-            kill: None,
-            dir: None,
+        let plan = RunPlan {
+            shard: Some(ShardSpec {
+                workers,
+                kill: None,
+                dir: None,
+            }),
+            repeats: args.repeats,
+            ..RunPlan::new(ActiveMethod::Ours)
         };
-        results.push(run_active_method_avg_sharded(
-            ActiveMethod::Ours,
-            &bench,
-            &config,
-            args.seed,
-            args.repeats,
-            &spec,
-        ));
+        let records = plan.run(&bench, &config, args.seed, None);
+        results.push(plan.method_result(&bench, &records));
     }
 
-    let labels: Vec<&str> = METHODS.iter().map(|m| m.label()).collect();
+    let labels: Vec<&str> = ActiveMethod::ALL.iter().map(|m| m.label()).collect();
     let rows = vec![TableRow {
         label: spec.name.clone(),
         cells: results
             .iter()
-            .take(METHODS.len())
+            .take(ActiveMethod::ALL.len())
             .map(|r| (r.accuracy, r.litho as f64))
             .collect(),
         percent: true,
@@ -125,7 +90,7 @@ fn main() {
         args.scale, args.seed, args.repeats
     );
     println!("{}", render_table(&labels, &rows));
-    for row in results.iter().skip(METHODS.len()) {
+    for row in results.iter().skip(ActiveMethod::ALL.len()) {
         let workers = row.workers.unwrap_or(1);
         println!(
             "shard scaling: Ours @ {workers} worker(s) — {:.2}% / Litho# {} / {:.2}s",

@@ -6,7 +6,7 @@
 //! accuracy and litho overhead.
 
 use hotspot_active::SamplingConfig;
-use hotspot_bench::{run_active_method, try_generate, write_json, ActiveMethod, ExperimentArgs};
+use hotspot_bench::{try_generate, write_json, ActiveMethod, ExperimentArgs, RunPlan};
 use hotspot_layout::BenchmarkSpec;
 use serde::Serialize;
 
@@ -49,13 +49,13 @@ fn main() {
         ActiveMethod::Ts,
         ActiveMethod::Random,
     ] {
-        let mut accuracies = Vec::with_capacity(repeats);
-        let mut lithos = Vec::with_capacity(repeats);
-        for repeat in 0..repeats {
-            let result = run_active_method(method, &bench, &config, args.seed + repeat as u64);
-            accuracies.push(result.accuracy);
-            lithos.push(result.litho as f64);
-        }
+        let plan = RunPlan {
+            repeats,
+            ..RunPlan::new(method)
+        };
+        let records = plan.run(&bench, &config, args.seed, None);
+        let accuracies: Vec<f64> = records.iter().map(|r| r.accuracy).collect();
+        let lithos: Vec<f64> = records.iter().map(|r| r.litho as f64).collect();
         let (acc_mean, acc_std) = mean_std(&accuracies);
         let (litho_mean, litho_std) = mean_std(&lithos);
         println!(

@@ -8,9 +8,7 @@
 //! values inflate false alarms.
 
 use hotspot_active::SamplingConfig;
-use hotspot_bench::{
-    run_active_method_avg, try_generate, write_json, ActiveMethod, ExperimentArgs,
-};
+use hotspot_bench::{try_generate, write_json, ActiveMethod, ExperimentArgs};
 use hotspot_layout::BenchmarkSpec;
 use serde::Serialize;
 
@@ -33,12 +31,12 @@ fn main() {
     );
     println!("{:>6} {:>10} {:>12}", "h", "Acc(%)", "Litho#");
     let mut points = Vec::new();
+    let plan = args.plan(ActiveMethod::Ours);
     for h in [0.2f32, 0.3, 0.4, 0.5, 0.6] {
         let mut config = base.clone();
         config.boundary_h = h;
         config.detect_threshold = h;
-        let result =
-            run_active_method_avg(ActiveMethod::Ours, &bench, &config, args.seed, args.repeats);
+        let result = plan.method_result(&bench, &plan.run(&bench, &config, args.seed, None));
         println!(
             "{:>6.2} {:>10.2} {:>12}",
             h,

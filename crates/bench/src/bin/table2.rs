@@ -8,8 +8,8 @@
 use hotspot_active::SamplingConfig;
 use hotspot_baselines::PatternMatcher;
 use hotspot_bench::{
-    evaluated_specs, ratio_row, render_table, run_active_method_avg, run_pattern_method,
-    try_generate, write_json, ActiveMethod, ExperimentArgs, MethodResult, TableRow,
+    evaluated_specs, ratio_row, render_table, run_pattern_method, try_generate, write_json,
+    ActiveMethod, ExperimentArgs, MethodResult, TableRow,
 };
 
 const METHODS: [&str; 7] = ["PM-exact", "PM-a95", "PM-a90", "PM-e2", "TS", "QP", "Ours"];
@@ -23,14 +23,18 @@ fn main() {
     for spec in &specs {
         let bench = try_generate(spec, args.seed).expect("benchmark generation succeeds");
         let config = SamplingConfig::for_benchmark(bench.len());
+        let active = |method| {
+            let plan = args.plan(method);
+            plan.method_result(&bench, &plan.run(&bench, &config, args.seed, None))
+        };
         let cells: Vec<MethodResult> = vec![
             run_pattern_method(PatternMatcher::exact(), &bench),
             run_pattern_method(PatternMatcher::fuzzy_95(), &bench),
             run_pattern_method(PatternMatcher::fuzzy_90(), &bench),
             run_pattern_method(PatternMatcher::edge_tolerant(), &bench),
-            run_active_method_avg(ActiveMethod::Ts, &bench, &config, args.seed, args.repeats),
-            run_active_method_avg(ActiveMethod::Qp, &bench, &config, args.seed, args.repeats),
-            run_active_method_avg(ActiveMethod::Ours, &bench, &config, args.seed, args.repeats),
+            active(ActiveMethod::Ts),
+            active(ActiveMethod::Qp),
+            active(ActiveMethod::Ours),
         ];
         for cell in &cells {
             hotspot_telemetry::info(

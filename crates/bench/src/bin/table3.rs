@@ -7,8 +7,8 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    evaluated_specs, ratio_row, render_table, run_active_method_avg, try_generate, write_json,
-    ActiveMethod, ExperimentArgs, MethodResult, TableRow,
+    evaluated_specs, ratio_row, render_table, try_generate, write_json, ActiveMethod,
+    ExperimentArgs, MethodResult, TableRow,
 };
 
 const COLUMNS: [&str; 4] = ["w/o.E", "w/o.D", "w/o.U", "Full"];
@@ -19,6 +19,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut results: Vec<(String, MethodResult)> = Vec::new();
+    let plan = args.plan(ActiveMethod::Ours);
     for spec in &specs {
         let bench = try_generate(spec, args.seed).expect("benchmark generation succeeds");
         let base = SamplingConfig::for_benchmark(bench.len());
@@ -30,8 +31,7 @@ fn main() {
         ];
         let mut cells = Vec::new();
         for (name, config) in variants {
-            let result =
-                run_active_method_avg(ActiveMethod::Ours, &bench, &config, args.seed, args.repeats);
+            let result = plan.method_result(&bench, &plan.run(&bench, &config, args.seed, None));
             hotspot_telemetry::info(
                 "bench.table3",
                 "ablation variant finished",

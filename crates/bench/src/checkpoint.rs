@@ -10,20 +10,11 @@
 //! — producing byte-identical canonical journals and identical final
 //! metrics to the uninterrupted invocation.
 
-use std::time::Duration;
-
-use hotspot_active::{ActiveError, CheckpointHook, RunCheckpoint, SamplingConfig};
-use hotspot_layout::GeneratedBenchmark;
-use hotspot_litho::FaultRates;
+use hotspot_active::{ActiveError, CheckpointHook, RunCheckpoint, RunOutcome};
 use hotspot_store::{ByteReader, ByteWriter, CheckpointBundle, CheckpointStore, StoreError};
 use hotspot_telemetry as telemetry;
 
 use crate::cli::{journal_sink, ExperimentArgs};
-use crate::methods::{
-    run_active_method_faulty_hooked, run_active_method_faulty_sharded_hooked,
-    run_active_method_hooked, run_active_method_sharded_hooked, ActiveMethod, FaultyMethodResult,
-    MethodResult, ShardSpec,
-};
 
 /// Exit code of a `--crash-after-checkpoints` induced crash, distinct from
 /// usage errors (2) so the resume-determinism suite can assert the kill
@@ -53,28 +44,42 @@ pub struct RunRecord {
     pub secs: f64,
 }
 
-impl From<&MethodResult> for RunRecord {
-    fn from(r: &MethodResult) -> Self {
+impl From<&RunOutcome> for RunRecord {
+    fn from(outcome: &RunOutcome) -> Self {
         RunRecord {
-            accuracy: r.accuracy,
-            litho: r.litho as u64,
-            secs: r.elapsed.as_secs_f64(),
-            ..RunRecord::default()
+            accuracy: outcome.metrics.accuracy,
+            litho: outcome.metrics.litho as u64,
+            extra_simulations: outcome.metrics.extra_simulations as u64,
+            retries: outcome.fault_stats.oracle_retries as u64,
+            giveups: outcome.fault_stats.oracle_giveups as u64,
+            label_failures: outcome.fault_stats.label_failures as u64,
+            degraded: outcome.degraded,
+            secs: outcome.elapsed.as_secs_f64(),
         }
     }
 }
 
-impl From<&FaultyMethodResult> for RunRecord {
-    fn from(r: &FaultyMethodResult) -> Self {
+impl RunRecord {
+    /// The mean over `records` (repeats of one plan): counts are rounded
+    /// to the nearest whole run, and the mean degrades if any run did.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `records` is empty.
+    pub(crate) fn mean(records: &[RunRecord]) -> RunRecord {
+        assert!(!records.is_empty(), "no runs to average");
+        let n = records.len() as f64;
+        let mean = |field: &dyn Fn(&RunRecord) -> f64| records.iter().map(field).sum::<f64>() / n;
+        let count = |field: fn(&RunRecord) -> u64| mean(&|r| field(r) as f64).round() as u64;
         RunRecord {
-            accuracy: r.accuracy,
-            litho: r.litho as u64,
-            extra_simulations: r.extra_simulations as u64,
-            retries: r.retries as u64,
-            giveups: r.giveups as u64,
-            label_failures: r.label_failures as u64,
-            degraded: r.degraded,
-            secs: 0.0,
+            accuracy: mean(&|r| r.accuracy),
+            litho: count(|r| r.litho),
+            extra_simulations: count(|r| r.extra_simulations),
+            retries: count(|r| r.retries),
+            giveups: count(|r| r.giveups),
+            label_failures: count(|r| r.label_failures),
+            degraded: records.iter().any(|r| r.degraded),
+            secs: mean(&|r| r.secs),
         }
     }
 }
@@ -116,8 +121,8 @@ fn decode_records(bytes: &[u8]) -> Result<Vec<RunRecord>, StoreError> {
 }
 
 /// Durable execution of an ordered run sequence (see module docs). Build
-/// with [`CheckpointedSequence::from_args`]; drive every framework run
-/// through [`CheckpointedSequence::next_run`] in a fixed order.
+/// with [`CheckpointedSequence::from_args`]; hand it to every
+/// [`crate::RunPlan::run`] of the binary, in a fixed order.
 #[derive(Debug)]
 pub struct CheckpointedSequence {
     store: CheckpointStore,
@@ -224,7 +229,7 @@ impl CheckpointedSequence {
     /// closure receives the checkpoint hook to thread into
     /// `run_with_oracle_checkpointed`; call order must be identical across
     /// invocations — the sequence is positional.
-    pub fn next_run(
+    pub(crate) fn next_run(
         &mut self,
         run: impl FnOnce(&mut dyn CheckpointHook) -> RunRecord,
     ) -> RunRecord {
@@ -277,186 +282,6 @@ impl CheckpointHook for CheckpointedSequence {
             std::process::exit(CRASH_EXIT_CODE);
         }
         Ok(())
-    }
-}
-
-/// Checkpointed sibling of [`crate::run_active_method`]: one framework run
-/// driven through the sequence.
-pub fn run_active_method_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    seq: &mut CheckpointedSequence,
-) -> MethodResult {
-    let record = seq.next_run(|hook| {
-        RunRecord::from(&run_active_method_hooked(method, bench, config, seed, hook))
-    });
-    method_result(method, bench, record, None)
-}
-
-/// Checkpointed sibling of [`crate::run_active_method_avg`]: each repeat is
-/// one durable run in the sequence, and the mean is computed from the
-/// persisted records, so a resumed average equals the uninterrupted one.
-pub fn run_active_method_avg_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    repeats: usize,
-    seq: &mut CheckpointedSequence,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let run_seed = seed + repeat as u64;
-        let record = seq.next_run(|hook| {
-            RunRecord::from(&run_active_method_hooked(
-                method, bench, config, run_seed, hook,
-            ))
-        });
-        acc += record.accuracy;
-        litho += record.litho as f64;
-        secs += record.secs;
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: None,
-    }
-}
-
-/// Checkpointed sibling of [`crate::run_active_method_sharded`].
-pub fn run_active_method_sharded_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    spec: &ShardSpec,
-    seq: &mut CheckpointedSequence,
-) -> MethodResult {
-    let record = seq.next_run(|hook| {
-        RunRecord::from(&run_active_method_sharded_hooked(
-            method, bench, config, seed, spec, hook,
-        ))
-    });
-    method_result(method, bench, record, Some(spec.workers))
-}
-
-/// Checkpointed sibling of [`crate::run_active_method_avg`] with sharded
-/// labelling: each repeat is one durable sharded run.
-pub fn run_active_method_avg_sharded_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    repeats: usize,
-    spec: &ShardSpec,
-    seq: &mut CheckpointedSequence,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let run_seed = seed + repeat as u64;
-        let record = seq.next_run(|hook| {
-            RunRecord::from(&run_active_method_sharded_hooked(
-                method, bench, config, run_seed, spec, hook,
-            ))
-        });
-        acc += record.accuracy;
-        litho += record.litho as f64;
-        secs += record.secs;
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: Some(spec.workers),
-    }
-}
-
-/// Checkpointed sibling of [`crate::run_active_method_faulty_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_sharded_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    spec: &ShardSpec,
-    seq: &mut CheckpointedSequence,
-) -> FaultyMethodResult {
-    let record = seq.next_run(|hook| {
-        RunRecord::from(&run_active_method_faulty_sharded_hooked(
-            method, bench, config, seed, rates, quorum, spec, hook,
-        ))
-    });
-    faulty_method_result(method, bench, rates, quorum, record)
-}
-
-/// Checkpointed sibling of [`crate::run_active_method_faulty`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_checkpointed(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    seq: &mut CheckpointedSequence,
-) -> FaultyMethodResult {
-    let record = seq.next_run(|hook| {
-        RunRecord::from(&run_active_method_faulty_hooked(
-            method, bench, config, seed, rates, quorum, hook,
-        ))
-    });
-    faulty_method_result(method, bench, rates, quorum, record)
-}
-
-fn faulty_method_result(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    rates: FaultRates,
-    quorum: usize,
-    record: RunRecord,
-) -> FaultyMethodResult {
-    FaultyMethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        transient: rates.transient,
-        flip: rates.flip,
-        quorum: quorum.max(1),
-        accuracy: record.accuracy,
-        litho: record.litho as usize,
-        extra_simulations: record.extra_simulations as usize,
-        retries: record.retries as usize,
-        giveups: record.giveups as usize,
-        label_failures: record.label_failures as usize,
-        degraded: record.degraded,
-    }
-}
-
-fn method_result(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    record: RunRecord,
-    workers: Option<usize>,
-) -> MethodResult {
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: record.accuracy,
-        litho: record.litho as usize,
-        elapsed: Duration::from_secs_f64(record.secs),
-        workers,
     }
 }
 

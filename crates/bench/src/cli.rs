@@ -1,8 +1,12 @@
+use hotspot_baselines::ActiveMethod;
+use hotspot_shard::{FailureMode, KillSpec};
 use hotspot_telemetry::{
     self as telemetry, ConsoleSink, EnvFilter, JournalPosition, JsonlSink, MetricsServer,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::methods::{RunPlan, ShardSpec};
 
 /// The `--metrics-addr` HTTP server for the lifetime of the binary; stashed
 /// globally because [`ExperimentArgs`] stays `Clone + PartialEq` while the
@@ -277,15 +281,25 @@ impl ExperimentArgs {
         Ok(out)
     }
 
-    /// The kill-shard chaos spec as a batch-ordinal panic injection, when
-    /// both `--workers` and `--kill-shard` were given.
-    pub fn kill_spec(&self) -> Option<hotspot_shard::KillSpec> {
-        self.kill_shard
-            .map(|(shard, batch)| hotspot_shard::KillSpec {
+    /// The run plan these flags ask for: `method` averaged over `--repeats`
+    /// runs, sharded across `--workers` threads when given (with the
+    /// `--kill-shard` chaos and, under `--checkpoint-dir`, a `shards/`
+    /// commit subdirectory next to the run checkpoints).
+    pub fn plan(&self, method: ActiveMethod) -> RunPlan {
+        let shard = self.workers.map(|workers| ShardSpec {
+            workers,
+            kill: self.kill_shard.map(|(shard, batch)| KillSpec {
                 shard,
                 batch,
-                mode: hotspot_shard::FailureMode::Panic,
-            })
+                mode: FailureMode::Panic,
+            }),
+            dir: self.checkpoint_dir.as_ref().map(|d| d.join("shards")),
+        });
+        RunPlan {
+            shard,
+            repeats: self.repeats,
+            ..RunPlan::new(method)
+        }
     }
 
     /// Registers the telemetry sinks these arguments ask for: a console
@@ -503,14 +517,17 @@ mod tests {
         let args = parse(&["--workers", "4"]).unwrap();
         assert_eq!(args.workers, Some(4));
         assert_eq!(args.kill_shard, None);
-        assert!(args.kill_spec().is_none());
+        let plan = args.plan(ActiveMethod::Ours);
+        assert_eq!(plan.shard.as_ref().map(|s| s.workers), Some(4));
+        assert!(plan.shard.unwrap().kill.is_none());
+        assert!(parse(&[]).unwrap().plan(ActiveMethod::Ours).shard.is_none());
 
         let args = parse(&["--workers", "4", "--kill-shard", "1@3"]).unwrap();
         assert_eq!(args.kill_shard, Some((1, 3)));
-        let spec = args.kill_spec().unwrap();
+        let spec = args.plan(ActiveMethod::Ours).shard.unwrap().kill.unwrap();
         assert_eq!(spec.shard, 1);
         assert_eq!(spec.batch, 3);
-        assert_eq!(spec.mode, hotspot_shard::FailureMode::Panic);
+        assert_eq!(spec.mode, FailureMode::Panic);
 
         assert!(parse(&["--workers", "0"]).is_err());
         assert!(parse(&["--kill-shard", "1@3"]).is_err(), "needs --workers");

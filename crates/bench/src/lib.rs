@@ -2,8 +2,9 @@
 //!
 //! Every `src/bin/*` target reproduces one table or figure of the paper (see
 //! DESIGN.md for the index). This library holds what they share: a tiny CLI
-//! parser (`--scale`, `--seed`, `--out`), benchmark construction, method
-//! runners, plain-text table rendering, JSON result output, and the Fig. 6(b)
+//! parser (`--scale`, `--seed`, `--out`), benchmark construction, the one
+//! [`RunPlan`] every active-learning run goes through, plain-text table
+//! rendering, JSON result output, and the Fig. 6(b)
 //! runtime model (10 s penalty per litho-clip plus measured PSHD seconds).
 
 #![forbid(unsafe_code)]
@@ -20,20 +21,10 @@ pub mod render;
 mod report;
 mod runtime;
 
-pub use checkpoint::{
-    run_active_method_avg_checkpointed, run_active_method_avg_sharded_checkpointed,
-    run_active_method_checkpointed, run_active_method_faulty_checkpointed,
-    run_active_method_faulty_sharded_checkpointed, run_active_method_sharded_checkpointed,
-    CheckpointedSequence, RunRecord, CRASH_EXIT_CODE,
-};
+pub use checkpoint::{CheckpointedSequence, RunRecord, CRASH_EXIT_CODE};
 pub use cli::ExperimentArgs;
-pub use methods::{
-    run_active_method, run_active_method_avg, run_active_method_avg_sharded,
-    run_active_method_faulty, run_active_method_faulty_hooked, run_active_method_faulty_sharded,
-    run_active_method_faulty_sharded_hooked, run_active_method_hooked, run_active_method_sharded,
-    run_active_method_sharded_hooked, run_pattern_method, ActiveMethod, FaultyMethodResult,
-    MethodResult, ShardSpec,
-};
+pub use hotspot_baselines::ActiveMethod;
+pub use methods::{run_pattern_method, FaultyMethodResult, MethodResult, RunPlan, ShardSpec};
 pub use pca::project_2d;
 pub use report::{ratio_row, render_table, write_json, TableRow};
 pub use runtime::{runtime_seconds, LITHO_SECONDS_PER_CLIP};

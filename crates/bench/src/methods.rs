@@ -1,22 +1,21 @@
-use hotspot_active::{
-    BatchSelector, CheckpointHook, EntropySelector, NoCheckpoint, RandomSelector, SamplingConfig,
-    SamplingFramework, UncertaintySelector,
-};
-use hotspot_baselines::{PatternMatcher, QpSelector};
+use hotspot_active::{CheckpointHook, NoCheckpoint, RunOutcome, SamplingConfig, SamplingFramework};
+use hotspot_baselines::{ActiveMethod, PatternMatcher};
 use hotspot_layout::GeneratedBenchmark;
-use hotspot_litho::{FaultRates, FaultyOracle, RetryOracle, RetryPolicy, VirtualClock};
+use hotspot_litho::{
+    FaultRates, FaultyOracle, LithoOracle, RetryOracle, RetryPolicy, VirtualClock,
+};
 use hotspot_shard::{KillSpec, ShardConfig, ShardedOracle};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::cli::ExperimentArgs;
+use crate::checkpoint::{CheckpointedSequence, RunRecord};
 
 /// How a sharded run fans its labelling batches out — built from
 /// `--workers` / `--kill-shard` / `--checkpoint-dir` by
-/// [`ShardSpec::from_args`] and threaded into the `_sharded` runners. The
-/// merged labels, Litho#, and canonical journal are byte-identical for
-/// every worker count and for any chaos the recovery path absorbed.
+/// [`crate::ExperimentArgs::plan`]. The merged labels, Litho#, and
+/// canonical journal are byte-identical for every worker count and for any
+/// chaos the recovery path absorbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Oracle worker threads per labelling batch.
@@ -30,17 +29,6 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// Builds the spec from `--workers` (returns `None` without it),
-    /// `--kill-shard`, and — when `--checkpoint-dir` is given — a `shards/`
-    /// commit subdirectory next to the run checkpoints.
-    pub fn from_args(args: &ExperimentArgs) -> Option<Self> {
-        Some(ShardSpec {
-            workers: args.workers?,
-            kill: args.kill_spec(),
-            dir: args.checkpoint_dir.as_ref().map(|d| d.join("shards")),
-        })
-    }
-
     fn config(&self, seed: u64) -> ShardConfig {
         let mut config = ShardConfig::new(self.workers).with_stream_seed(seed ^ 0x5a4d_0001);
         if let Some(kill) = self.kill {
@@ -53,37 +41,168 @@ impl ShardSpec {
     }
 }
 
-/// The learning-based sampling methods of Table II (and Fig. 4 / Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ActiveMethod {
-    /// The paper's entropy-based sampler.
-    Ours,
-    /// Calibrated uncertainty only ("TS").
-    Ts,
-    /// The QP batch selector of \[14\].
-    Qp,
-    /// Uniform random batches.
-    Random,
+/// Everything that varies between the harness's Algorithm 2 runs: the
+/// selector, the oracle stack (plain, or fault-injecting behind
+/// retry/backoff and optional quorum), the labelling worker count, and how
+/// many consecutively seeded repeats to run. [`RunPlan::run`] is the one
+/// path every table and figure binary takes into the framework.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunPlan {
+    /// The batch selector.
+    pub method: ActiveMethod,
+    /// Injected oracle faults and quorum votes per label (1 = no quorum);
+    /// `None` labels through the plain metered oracle.
+    pub faults: Option<(FaultRates, usize)>,
+    /// Sharded labelling; `None` labels on the calling thread.
+    pub shard: Option<ShardSpec>,
+    /// Runs with seeds `seed, seed + 1, …`; must be positive.
+    pub repeats: usize,
 }
 
-impl ActiveMethod {
-    /// Table column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ActiveMethod::Ours => "Ours",
-            ActiveMethod::Ts => "TS",
-            ActiveMethod::Qp => "QP",
-            ActiveMethod::Random => "Random",
+impl RunPlan {
+    /// One unsharded, fault-free run of `method`.
+    pub fn new(method: ActiveMethod) -> Self {
+        RunPlan {
+            method,
+            faults: None,
+            shard: None,
+            repeats: 1,
         }
     }
 
-    /// Builds the corresponding batch selector.
-    pub fn selector(self) -> Box<dyn BatchSelector> {
-        match self {
-            ActiveMethod::Ours => Box::new(EntropySelector::new()),
-            ActiveMethod::Ts => Box::new(UncertaintySelector::new()),
-            ActiveMethod::Qp => Box::new(QpSelector::new()),
-            ActiveMethod::Random => Box::new(RandomSelector::new()),
+    /// Executes the plan: `repeats` framework runs with consecutive seeds,
+    /// each driven through `sequence` when one is given (so a resumed
+    /// invocation replays completed runs from their persisted records and
+    /// restores the in-flight one). The retry-jitter seed only shapes
+    /// virtual backoff sleeps, so the sharded and unsharded stacks label
+    /// and bill identically.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `repeats == 0`, the fault rates are invalid, or the
+    /// framework rejects the configuration or a checkpoint.
+    pub fn run(
+        &self,
+        bench: &GeneratedBenchmark,
+        config: &SamplingConfig,
+        seed: u64,
+        mut sequence: Option<&mut CheckpointedSequence>,
+    ) -> Vec<RunRecord> {
+        assert!(self.repeats > 0, "repeats must be positive");
+        (0..self.repeats as u64)
+            .map(|repeat| {
+                let seed = seed + repeat;
+                match sequence.as_deref_mut() {
+                    Some(seq) => seq.next_run(|hook| self.run_once(bench, config, seed, hook)),
+                    None => self.run_once(bench, config, seed, &mut NoCheckpoint),
+                }
+            })
+            .collect()
+    }
+
+    fn run_once(
+        &self,
+        bench: &GeneratedBenchmark,
+        config: &SamplingConfig,
+        seed: u64,
+        hook: &mut dyn CheckpointHook,
+    ) -> RunRecord {
+        let outcome = match self.faults {
+            None => self.drive(bench, config, seed, hook, |_jitter_seed| bench.oracle()),
+            Some((rates, quorum)) => self.drive(bench, config, seed, hook, |jitter_seed| {
+                let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
+                let policy = RetryPolicy {
+                    seed: jitter_seed,
+                    ..RetryPolicy::default()
+                };
+                let oracle = RetryOracle::with_clock(flaky, policy, VirtualClock::new());
+                if quorum > 1 {
+                    oracle.with_quorum(quorum)
+                } else {
+                    oracle
+                }
+            }),
+        };
+        RunRecord::from(&outcome)
+    }
+
+    /// One framework run over the oracle `stack(jitter_seed)` builds —
+    /// wrapped in a [`ShardedOracle`] whose workers each rebuild the stack
+    /// when the plan is sharded.
+    fn drive<O: LithoOracle + Send + 'static>(
+        &self,
+        bench: &GeneratedBenchmark,
+        config: &SamplingConfig,
+        seed: u64,
+        hook: &mut dyn CheckpointHook,
+        stack: impl Fn(u64) -> O,
+    ) -> RunOutcome {
+        let framework = SamplingFramework::new(config.clone());
+        let mut selector = self.method.selector();
+        let mut master = stack(RetryPolicy::default().seed);
+        let outcome = match &self.shard {
+            None => framework.run_with_oracle_checkpointed(
+                bench,
+                selector.as_mut(),
+                seed,
+                &mut master,
+                hook,
+            ),
+            Some(spec) => {
+                let mut oracle = ShardedOracle::new(
+                    master,
+                    |_shard, jitter_seed| stack(jitter_seed),
+                    spec.config(seed),
+                );
+                framework.run_with_oracle_checkpointed(
+                    bench,
+                    selector.as_mut(),
+                    seed,
+                    &mut oracle,
+                    hook,
+                )
+            }
+        };
+        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
+        outcome.expect("framework run succeeds")
+    }
+
+    /// The table cell of this plan: `records` (one per repeat) averaged
+    /// under the method's label — CNN-style detectors are
+    /// initialisation-sensitive, so the paper's tables are read as averages.
+    pub fn method_result(&self, bench: &GeneratedBenchmark, records: &[RunRecord]) -> MethodResult {
+        let mean = RunRecord::mean(records);
+        MethodResult {
+            method: self.method.label().to_owned(),
+            benchmark: bench.spec().name.clone(),
+            accuracy: mean.accuracy,
+            litho: mean.litho as usize,
+            elapsed: Duration::from_secs_f64(mean.secs),
+            workers: self.shard.as_ref().map(|spec| spec.workers),
+        }
+    }
+
+    /// The `faults` sweep cell of this plan, from its averaged `records`.
+    pub fn faulty_result(
+        &self,
+        bench: &GeneratedBenchmark,
+        records: &[RunRecord],
+    ) -> FaultyMethodResult {
+        let mean = RunRecord::mean(records);
+        let (rates, quorum) = self.faults.unwrap_or((FaultRates::default(), 1));
+        FaultyMethodResult {
+            method: self.method.label().to_owned(),
+            benchmark: bench.spec().name.clone(),
+            transient: rates.transient,
+            flip: rates.flip,
+            quorum: quorum.max(1),
+            accuracy: mean.accuracy,
+            litho: mean.litho as usize,
+            extra_simulations: mean.extra_simulations as usize,
+            retries: mean.retries as usize,
+            giveups: mean.giveups as usize,
+            label_failures: mean.label_failures as usize,
+            degraded: mean.degraded,
         }
     }
 }
@@ -123,136 +242,6 @@ mod duration_secs {
     }
 }
 
-/// Runs a learning-based method on a benchmark.
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration (the harness is
-/// expected to pass consistent sizes).
-pub fn run_active_method(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-) -> MethodResult {
-    run_active_method_hooked(method, bench, config, seed, &mut NoCheckpoint)
-}
-
-/// [`run_active_method`] with durable-run support: the hook receives a
-/// checkpoint at each iteration boundary and may supply one to resume from.
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration or the checkpoint.
-pub fn run_active_method_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    hook: &mut dyn CheckpointHook,
-) -> MethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut bench.oracle(), hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("framework run succeeds");
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        elapsed: outcome.elapsed,
-        workers: None,
-    }
-}
-
-/// Runs a learning-based method `repeats` times with consecutive seeds and
-/// returns the mean accuracy / litho / time under the method's label —
-/// CNN-style detectors are initialisation-sensitive, so the paper's tables
-/// are read as averages.
-///
-/// # Panics
-///
-/// Panics when `repeats == 0` or the framework rejects the configuration.
-pub fn run_active_method_avg(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    repeats: usize,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let r = run_active_method(method, bench, config, seed + repeat as u64);
-        acc += r.accuracy;
-        litho += r.litho as f64;
-        secs += r.elapsed.as_secs_f64();
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: None,
-    }
-}
-
-/// [`run_active_method`] with the labelling batches sharded across
-/// `spec.workers` oracle threads (see [`hotspot_shard::ShardedOracle`]).
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration.
-pub fn run_active_method_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    spec: &ShardSpec,
-) -> MethodResult {
-    run_active_method_sharded_hooked(method, bench, config, seed, spec, &mut NoCheckpoint)
-}
-
-/// [`run_active_method_sharded`] with durable-run support.
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration or the checkpoint.
-pub fn run_active_method_sharded_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    spec: &ShardSpec,
-    hook: &mut dyn CheckpointHook,
-) -> MethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    // The plain metered oracle carries no jitter stream: workers only need
-    // fresh instances sharing the benchmark's ground truth.
-    let mut oracle = ShardedOracle::new(
-        bench.oracle(),
-        move |_shard, _jitter_seed| bench.oracle(),
-        spec.config(seed),
-    );
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("sharded framework run succeeds");
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        elapsed: outcome.elapsed,
-        workers: Some(spec.workers),
-    }
-}
-
 /// One cell of the `faults` robustness sweep: a method run against a
 /// seeded fault-injecting oracle behind the retry/quorum layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -281,202 +270,6 @@ pub struct FaultyMethodResult {
     pub label_failures: usize,
     /// Whether the run degraded (see `RunFaultStats::is_degraded`).
     pub degraded: bool,
-}
-
-/// Runs a learning-based method on a benchmark through a fault-injecting
-/// oracle wrapped in retry/backoff (virtual clock — no wall-clock sleeps)
-/// and, when `quorum > 1`, quorum re-labelling.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration.
-pub fn run_active_method_faulty(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-) -> FaultyMethodResult {
-    run_active_method_faulty_hooked(
-        method,
-        bench,
-        config,
-        seed,
-        rates,
-        quorum,
-        &mut NoCheckpoint,
-    )
-}
-
-/// [`run_active_method_faulty`] with durable-run support — the fault
-/// schedule is a pure function of (seed, clip, attempt) and the fault/retry
-/// meters ride along in the checkpoint, so a resumed faulty run reproduces
-/// the uninterrupted one exactly.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration or the checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    hook: &mut dyn CheckpointHook,
-) -> FaultyMethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
-    let mut oracle = RetryOracle::with_clock(flaky, RetryPolicy::default(), VirtualClock::new());
-    if quorum > 1 {
-        oracle = oracle.with_quorum(quorum);
-    }
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("degradation-aware framework run succeeds");
-    FaultyMethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        transient: rates.transient,
-        flip: rates.flip,
-        quorum: quorum.max(1),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        extra_simulations: outcome.metrics.extra_simulations,
-        retries: outcome.fault_stats.oracle_retries,
-        giveups: outcome.fault_stats.oracle_giveups,
-        label_failures: outcome.fault_stats.label_failures,
-        degraded: outcome.degraded,
-    }
-}
-
-/// [`run_active_method_avg`] with sharded labelling: each repeat fans its
-/// batches across `spec.workers` oracle threads.
-///
-/// # Panics
-///
-/// Panics when `repeats == 0` or the framework rejects the configuration.
-pub fn run_active_method_avg_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    repeats: usize,
-    spec: &ShardSpec,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let r = run_active_method_sharded(method, bench, config, seed + repeat as u64, spec);
-        acc += r.accuracy;
-        litho += r.litho as f64;
-        secs += r.elapsed.as_secs_f64();
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: Some(spec.workers),
-    }
-}
-
-/// [`run_active_method_faulty`] with the labelling batches sharded across
-/// `spec.workers` oracle threads. Each worker rebuilds the whole
-/// retry/quorum/fault stack over a fresh metered oracle and restores it
-/// from the master's snapshot; per-worker retry-jitter seeds come from the
-/// coordinator's split ChaCha streams and shape backoff sleeps only, so the
-/// merged run equals the single-threaded one label for label and bill for
-/// bill.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration.
-pub fn run_active_method_faulty_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    spec: &ShardSpec,
-) -> FaultyMethodResult {
-    run_active_method_faulty_sharded_hooked(
-        method,
-        bench,
-        config,
-        seed,
-        rates,
-        quorum,
-        spec,
-        &mut NoCheckpoint,
-    )
-}
-
-/// [`run_active_method_faulty_sharded`] with durable-run support.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration or the checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_sharded_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    spec: &ShardSpec,
-    hook: &mut dyn CheckpointHook,
-) -> FaultyMethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let stack = move |jitter_seed: u64| {
-        let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
-        let policy = RetryPolicy {
-            seed: jitter_seed,
-            ..RetryPolicy::default()
-        };
-        let mut oracle = RetryOracle::with_clock(flaky, policy, VirtualClock::new());
-        if quorum > 1 {
-            oracle = oracle.with_quorum(quorum);
-        }
-        oracle
-    };
-    let master = stack(RetryPolicy::default().seed);
-    let mut oracle = ShardedOracle::new(
-        master,
-        move |_shard, jitter_seed| stack(jitter_seed),
-        spec.config(seed),
-    );
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("sharded degradation-aware framework run succeeds");
-    FaultyMethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        transient: rates.transient,
-        flip: rates.flip,
-        quorum: quorum.max(1),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        extra_simulations: outcome.metrics.extra_simulations,
-        retries: outcome.fault_stats.oracle_retries,
-        giveups: outcome.fault_stats.oracle_giveups,
-        label_failures: outcome.fault_stats.label_failures,
-        degraded: outcome.degraded,
-    }
 }
 
 /// Runs a pattern-matching method on a benchmark.
@@ -511,20 +304,21 @@ mod tests {
         GeneratedBenchmark::generate(&spec, 4).unwrap()
     }
 
-    #[test]
-    fn all_active_methods_run() {
-        let b = bench();
+    fn config(b: &GeneratedBenchmark) -> SamplingConfig {
         let mut config = SamplingConfig::for_benchmark(b.len());
         config.iterations = 2;
         config.initial_epochs = 20;
         config.update_epochs = 5;
-        for method in [
-            ActiveMethod::Ours,
-            ActiveMethod::Ts,
-            ActiveMethod::Qp,
-            ActiveMethod::Random,
-        ] {
-            let result = run_active_method(method, &b, &config, 1);
+        config
+    }
+
+    #[test]
+    fn all_active_methods_run() {
+        let b = bench();
+        let config = config(&b);
+        for method in ActiveMethod::ALL {
+            let plan = RunPlan::new(method);
+            let result = plan.method_result(&b, &plan.run(&b, &config, 1, None));
             assert_eq!(result.method, method.label());
             assert!(result.accuracy > 0.0);
             assert!(result.litho > 0);
@@ -532,93 +326,53 @@ mod tests {
     }
 
     #[test]
+    fn repeats_run_consecutive_seeds_and_average() {
+        let b = bench();
+        let config = config(&b);
+        let plan = RunPlan {
+            repeats: 2,
+            ..RunPlan::new(ActiveMethod::Random)
+        };
+        let records = plan.run(&b, &config, 1, None);
+        let single = |seed| RunPlan::new(ActiveMethod::Random).run(&b, &config, seed, None)[0];
+        assert_eq!(records.len(), 2);
+        for (record, seed) in records.iter().zip([1, 2]) {
+            let alone = single(seed);
+            assert_eq!(
+                (record.accuracy, record.litho),
+                (alone.accuracy, alone.litho)
+            );
+        }
+        let cell = plan.method_result(&b, &records);
+        assert_eq!(
+            cell.accuracy,
+            (records[0].accuracy + records[1].accuracy) / 2.0
+        );
+        let mean_litho = (records[0].litho + records[1].litho) as f64 / 2.0;
+        assert_eq!(cell.litho, mean_litho.round() as usize);
+    }
+
+    #[test]
     fn faulty_method_runs_and_accounts() {
         let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
+        let config = config(&b);
         let rates = FaultRates {
             transient: 0.2,
             flip: 0.02,
             ..FaultRates::default()
         };
-        let r = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
+        let plan = RunPlan {
+            faults: Some((rates, 3)),
+            ..RunPlan::new(ActiveMethod::Ours)
+        };
+        let r = plan.faulty_result(&b, &plan.run(&b, &config, 1, None));
         assert!(r.litho > 0);
         assert_eq!(r.quorum, 3);
         assert!(r.retries > 0, "20% transient should force retries");
         assert!(r.extra_simulations > 0, "quorum votes should bill");
         // The same seed reproduces the same degraded run bit-for-bit.
-        let again = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
+        let again = plan.faulty_result(&b, &plan.run(&b, &config, 1, None));
         assert_eq!(r, again);
-    }
-
-    #[test]
-    fn sharded_runs_match_sequential_outcomes() {
-        let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
-
-        let sequential = run_active_method(ActiveMethod::Ours, &b, &config, 1);
-        for workers in [1, 3] {
-            let spec = ShardSpec {
-                workers,
-                kill: None,
-                dir: None,
-            };
-            let sharded = run_active_method_sharded(ActiveMethod::Ours, &b, &config, 1, &spec);
-            assert_eq!(sequential.accuracy, sharded.accuracy, "N={workers}");
-            assert_eq!(sequential.litho, sharded.litho, "N={workers}");
-        }
-
-        let rates = FaultRates {
-            transient: 0.2,
-            flip: 0.02,
-            ..FaultRates::default()
-        };
-        let sequential = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
-        let spec = ShardSpec {
-            workers: 3,
-            kill: None,
-            dir: None,
-        };
-        let sharded =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 3, &spec);
-        assert_eq!(sequential, sharded, "faulty stack must merge identically");
-    }
-
-    #[test]
-    fn killed_worker_run_matches_the_undisturbed_one() {
-        let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
-        let rates = FaultRates {
-            transient: 0.2,
-            ..FaultRates::default()
-        };
-        let calm = ShardSpec {
-            workers: 3,
-            kill: None,
-            dir: None,
-        };
-        let chaos = ShardSpec {
-            workers: 3,
-            kill: Some(KillSpec {
-                shard: 1,
-                batch: 2,
-                mode: hotspot_shard::FailureMode::Panic,
-            }),
-            dir: None,
-        };
-        let undisturbed =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 1, &calm);
-        let murdered =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 1, &chaos);
-        assert_eq!(undisturbed, murdered, "recovery must not change anything");
     }
 
     #[test]

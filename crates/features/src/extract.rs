@@ -1,4 +1,4 @@
-use crate::{zigzag_order, Dct2d, FeatureError};
+use crate::{run_length_histogram, zigzag_order, Dct2d, FeatureError, DEFAULT_RUN_BINS};
 use hotspot_geom::Raster;
 
 /// Block-DCT feature extractor for layout clip rasters.
@@ -117,6 +117,21 @@ impl FeatureExtractor {
                 features.extend(self.zigzag.iter().map(|&i| coeffs[i]));
             }
         }
+        features
+    }
+
+    /// The classifier's feature row for a clip core: the block-DCT features
+    /// of [`FeatureExtractor::extract`] followed by the censored run-length
+    /// histograms of [`run_length_histogram`] at threshold 0.5. The DCT half
+    /// carries the spectral layout representation the hotspot-CNN
+    /// literature trains on; the run-length half carries the
+    /// translation-invariant width/spacing view a small MLP needs to
+    /// generalise from the few labelled clips an active learner starts with.
+    /// Benchmark generation and the scoring service both build their rows
+    /// here, so training and serving features cannot drift apart.
+    pub fn clip_features(&self, core: &Raster) -> Vec<f32> {
+        let mut features = self.extract(core);
+        features.extend(run_length_histogram(core, 0.5, &DEFAULT_RUN_BINS));
         features
     }
 

@@ -1,12 +1,11 @@
 use crate::pattern::{synthesize, ClipFamily, ClipRecipe};
 use crate::{BenchmarkSpec, LayoutError, Signature};
-use hotspot_features::{run_length_histogram, FeatureExtractor, FeatureMatrix, DEFAULT_RUN_BINS};
+use hotspot_features::{FeatureExtractor, FeatureMatrix};
 use hotspot_geom::{Point, Raster, Rect};
 use hotspot_litho::{CountingOracle, Label, LithoSimulator};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// A fully generated benchmark: labels, features, and signatures for every
 /// clip, with rasters regenerable on demand.
@@ -38,7 +37,7 @@ impl GeneratedBenchmark {
     /// Generates a benchmark matching `spec` exactly, deterministically in
     /// `seed`.
     ///
-    /// Candidates are synthesised in parallel batches, labelled by the
+    /// Candidates are synthesised in batches, labelled by the
     /// lithography simulator, and accepted until both class quotas are met;
     /// with some probability a candidate instead duplicates an earlier
     /// accepted clip (sharing its pattern and label).
@@ -118,7 +117,7 @@ impl GeneratedBenchmark {
                 }
             }
 
-            // Fresh candidates, synthesised and labelled in parallel.
+            // Fresh candidates, synthesised and labelled in order.
             let fresh_batch = batch.saturating_sub(dup_quota).max(1);
             let specs: Vec<(ClipFamily, u64)> = (0..fresh_batch)
                 .map(|_| {
@@ -129,7 +128,7 @@ impl GeneratedBenchmark {
                 .collect();
             attempts += specs.len();
             let candidates: Vec<Candidate> = specs
-                .into_par_iter()
+                .into_iter()
                 .map(|(family, clip_seed)| {
                     let raster = synthesize(tech, family, clip_seed);
                     let label = sim.label(&raster, core);
@@ -341,18 +340,11 @@ impl GeneratedBenchmark {
     }
 }
 
-/// Combined feature vector of one clip: block-DCT features of the core crop
-/// (double effective resolution where defects count) concatenated with
-/// censored run-length histograms of the core. The DCT half carries the
-/// spectral layout representation the hotspot-CNN literature trains on; the
-/// run-length half carries the translation-invariant width/spacing view a
-/// small MLP needs to generalise from the few labelled clips an active
-/// learner starts with.
+/// Feature row of one clip: [`FeatureExtractor::clip_features`] of the core
+/// crop (double effective resolution where defects count).
 fn clip_features(extractor: &FeatureExtractor, raster: &Raster, core: Rect) -> Vec<f32> {
     let core_crop = raster.crop(&core).unwrap_or_else(|| raster.clone());
-    let mut features = extractor.extract(&core_crop);
-    features.extend(run_length_histogram(&core_crop, 0.5, &DEFAULT_RUN_BINS));
-    features
+    extractor.clip_features(&core_crop)
 }
 
 fn core_rect(spec: &BenchmarkSpec) -> Rect {

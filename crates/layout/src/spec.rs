@@ -200,6 +200,28 @@ impl BenchmarkSpec {
         }
     }
 
+    /// Looks up a Table I spec by its lowercase identifier: `iccad12` or
+    /// `iccad16_1` … `iccad16_4` (the names the scoring service accepts).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LayoutError::BadSpec`], listing the valid names, for an
+    /// unknown identifier.
+    pub fn by_name(name: &str) -> Result<Self, LayoutError> {
+        match name {
+            "iccad12" => Ok(BenchmarkSpec::iccad12()),
+            "iccad16_1" => Ok(BenchmarkSpec::iccad16_1()),
+            "iccad16_2" => Ok(BenchmarkSpec::iccad16_2()),
+            "iccad16_3" => Ok(BenchmarkSpec::iccad16_3()),
+            "iccad16_4" => Ok(BenchmarkSpec::iccad16_4()),
+            other => Err(LayoutError::BadSpec {
+                detail: format!(
+                    "unknown benchmark {other:?}; expected iccad12 or iccad16_1..iccad16_4"
+                ),
+            }),
+        }
+    }
+
     /// Scales both cardinalities by `factor` (at least one clip per class
     /// that was non-empty). Use factors < 1 for quick runs; 1.0 reproduces
     /// Table I.
@@ -323,5 +345,14 @@ mod tests {
             assert_eq!(Tech::from_name(tech.name()).unwrap(), tech);
         }
         assert!(Tech::from_name("Euv5").is_err());
+        assert_eq!(
+            BenchmarkSpec::by_name("iccad16_3").unwrap(),
+            BenchmarkSpec::iccad16_3()
+        );
+        let err = BenchmarkSpec::by_name("iccad99").unwrap_err().to_string();
+        assert!(
+            err.contains("iccad12") && err.contains("iccad16_4"),
+            "{err}"
+        );
     }
 }

@@ -1,5 +1,4 @@
 use crate::{Layer, Matrix, NetworkSnapshot, NnError, Optimizer, SoftmaxCrossEntropy};
-use rayon::prelude::*;
 
 /// A feed-forward stack of layers.
 ///
@@ -73,7 +72,7 @@ impl Sequential {
         (logits.as_slice().to_vec(), embedding.as_slice().to_vec())
     }
 
-    /// Parallel inference over row chunks — used for full-pool prediction
+    /// Inference in row chunks — used for full-pool prediction
     /// where a benchmark holds 10⁵–10⁶ clips. Returns `(logits, embeddings)`
     /// like [`Sequential::infer_with_embedding`].
     pub fn infer_pool(&self, input: &Matrix, chunk_rows: usize) -> (Matrix, Matrix) {
@@ -81,7 +80,7 @@ impl Sequential {
         let chunk = chunk_rows.max(1);
         let indices: Vec<usize> = (0..input.rows()).step_by(chunk).collect();
         let parts: Vec<(Matrix, Matrix)> = indices
-            .par_iter()
+            .iter()
             .map(|&start| {
                 let end = (start + chunk).min(input.rows());
                 let rows: Vec<usize> = (start..end).collect();

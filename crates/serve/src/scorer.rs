@@ -16,7 +16,7 @@
 
 use hotspot_active::{uncertainty_scores, HotspotModel, SamplingConfig};
 use hotspot_calibration::Temperature;
-use hotspot_features::{run_length_histogram, FeatureExtractor, DEFAULT_RUN_BINS};
+use hotspot_features::FeatureExtractor;
 use hotspot_geom::{Raster, Rect};
 use hotspot_layout::{BenchmarkSpec, GeneratedBenchmark};
 use hotspot_nn::Matrix;
@@ -49,24 +49,6 @@ impl Default for BootstrapConfig {
     }
 }
 
-/// Maps a CLI-style lowercase benchmark name to its Table I spec.
-///
-/// # Errors
-///
-/// Returns [`ServeError::BadInput`] for an unknown name.
-pub(crate) fn spec_by_name(name: &str) -> Result<BenchmarkSpec, ServeError> {
-    match name {
-        "iccad12" => Ok(BenchmarkSpec::iccad12()),
-        "iccad16_1" => Ok(BenchmarkSpec::iccad16_1()),
-        "iccad16_2" => Ok(BenchmarkSpec::iccad16_2()),
-        "iccad16_3" => Ok(BenchmarkSpec::iccad16_3()),
-        "iccad16_4" => Ok(BenchmarkSpec::iccad16_4()),
-        other => Err(ServeError::BadInput(format!(
-            "unknown benchmark {other:?}; expected iccad12 or iccad16_1..iccad16_4"
-        ))),
-    }
-}
-
 /// A trained, calibrated scoring model. See the module docs.
 #[derive(Debug)]
 pub struct Scorer {
@@ -96,7 +78,9 @@ impl Scorer {
                 config.scale
             )));
         }
-        let spec = spec_by_name(&config.benchmark)?.scaled(config.scale);
+        let spec = BenchmarkSpec::by_name(&config.benchmark)
+            .map_err(|e| ServeError::BadInput(e.to_string()))?
+            .scaled(config.scale);
         let bench = GeneratedBenchmark::generate(&spec, config.seed)
             .map_err(|e| ServeError::Internal(format!("benchmark generation failed: {e}")))?;
         Scorer::from_benchmark(&bench, config.seed, config.epochs)
@@ -215,12 +199,9 @@ impl Scorer {
         let mut raster = Raster::zeros(region, 1)
             .map_err(|e| ServeError::BadInput(format!("bad raster shape: {e}")))?;
         raster.pixels_mut().copy_from_slice(pixels);
-        // Mirror the benchmark's feature recipe (DCT spectrum + censored
-        // run-length histograms); the submitted raster is treated as the
-        // clip core, already cropped by the client.
-        let mut features = self.extractor.extract(&raster);
-        features.extend(run_length_histogram(&raster, 0.5, &DEFAULT_RUN_BINS));
-        Ok(features)
+        // The benchmark's own feature recipe; the submitted raster is
+        // treated as the clip core, already cropped by the client.
+        Ok(self.extractor.clip_features(&raster))
     }
 
     /// Scores a batch of raw feature rows: standardise, one forward pass,

@@ -35,11 +35,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hotspot_active::{
-    ActiveError, BatchSelector, CheckpointHook, EntropySelector, RandomSelector, RunCheckpoint,
-    SamplingConfig, SamplingFramework, UncertaintySelector,
+    ActiveError, CheckpointHook, RunCheckpoint, SamplingConfig, SamplingFramework,
 };
-use hotspot_baselines::QpSelector;
-use hotspot_layout::GeneratedBenchmark;
+use hotspot_baselines::ActiveMethod;
+use hotspot_layout::{BenchmarkSpec, GeneratedBenchmark};
 use hotspot_shard::{ShardConfig, ShardedOracle};
 use hotspot_store::{CheckpointBundle, CheckpointStore};
 use hotspot_telemetry::{self as telemetry, names, JsonlSink, MetricsRegistry};
@@ -230,7 +229,7 @@ impl Runner {
             iterations: request.iterations.unwrap_or(4),
         };
         // Fail fast on everything a later step would choke on.
-        selector_for(&spec.method)?;
+        ActiveMethod::from_name(&spec.method).map_err(ServeError::BadInput)?;
         if !(spec.scale.is_finite() && spec.scale > 0.0) {
             return Err(ServeError::BadInput(format!(
                 "scale must be positive and finite, got {}",
@@ -243,7 +242,9 @@ impl Runner {
         if spec.workers == 0 {
             return Err(ServeError::BadInput("workers must be >= 1".to_string()));
         }
-        let bench_spec = crate::scorer::spec_by_name(&spec.benchmark)?.scaled(spec.scale);
+        let bench_spec = BenchmarkSpec::by_name(&spec.benchmark)
+            .map_err(|e| ServeError::BadInput(e.to_string()))?
+            .scaled(spec.scale);
         bench_spec
             .validate()
             .map_err(|e| ServeError::BadInput(format!("bad benchmark spec: {e}")))?;
@@ -314,7 +315,9 @@ impl Runner {
                 spec.scale
             )));
         }
-        let bench_spec = crate::scorer::spec_by_name(&spec.benchmark)?.scaled(spec.scale);
+        let bench_spec = BenchmarkSpec::by_name(&spec.benchmark)
+            .map_err(|e| ServeError::BadInput(e.to_string()))?
+            .scaled(spec.scale);
         // Generation is a pure function of (spec, seed); silencing keeps its
         // kernel telemetry out of whatever the process has accumulated, so
         // a step's restored metrics are the only global state that matters.
@@ -400,7 +403,9 @@ impl Runner {
         let sink_dyn: Arc<dyn telemetry::Sink> = Arc::clone(&sink) as Arc<dyn telemetry::Sink>;
         telemetry::add_sink(Arc::clone(&sink_dyn));
         let outcome = {
-            let mut selector = selector_for(&spec.method)?;
+            let mut selector = ActiveMethod::from_name(&spec.method)
+                .map_err(ServeError::BadInput)?
+                .selector();
             let bench_for_factory = Arc::clone(&bench);
             // Fresh shard dir per step: commit ordinals restart with every
             // ShardedOracle, and a stale same-ordinal commit from an earlier
@@ -498,18 +503,6 @@ fn truncate_journal(path: &Path, bytes: u64) -> Result<(), ServeError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound && bytes == 0 => Ok(()),
         Err(e) => Err(ServeError::Internal(format!(
             "cannot reopen journal for truncation: {e}"
-        ))),
-    }
-}
-
-fn selector_for(method: &str) -> Result<Box<dyn BatchSelector>, ServeError> {
-    match method {
-        "ours" => Ok(Box::new(EntropySelector::new())),
-        "ts" => Ok(Box::new(UncertaintySelector::new())),
-        "qp" => Ok(Box::new(QpSelector::new())),
-        "random" => Ok(Box::new(RandomSelector::new())),
-        other => Err(ServeError::BadInput(format!(
-            "unknown method {other:?}; expected ours, ts, qp, or random"
         ))),
     }
 }

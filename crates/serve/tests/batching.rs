@@ -210,6 +210,20 @@ fn admission_control_and_error_bodies_speak_http() {
     let body: ErrorBody = serde_json::from_str(&response.body).expect("parse width body");
     assert_eq!(body.request_id, "rid-9");
 
+    // Unknown campaign names: a 400 whose message lists the valid names.
+    for (request, valid) in [
+        (r#"{"method":"badge"}"#, "ours, ts, qp, or random"),
+        (
+            r#"{"benchmark":"iccad99"}"#,
+            "iccad12 or iccad16_1..iccad16_4",
+        ),
+    ] {
+        let response = http.post_json("/session", request).expect("post /session");
+        assert_eq!(response.status, 400, "{request}");
+        let body: ErrorBody = serde_json::from_str(&response.body).expect("parse session body");
+        assert!(body.error.contains(valid), "{request}: {}", body.error);
+    }
+
     // Queue backpressure, deterministically: a 1-slot queue behind a batcher
     // that is busy with a multi-second forward pass refuses the next job
     // with QueueFull (the HTTP layer maps this to 429 + Retry-After).
