@@ -6,11 +6,10 @@
 //! Fig. 2a) and once after temperature scaling on a validation split
 //! (Fig. 2b). The calibrated ECE should drop substantially.
 
-use hotspot_active::HotspotModel;
+use hotspot_active::{standardized_dct, HotspotModel};
 use hotspot_bench::{try_generate, write_json, ExperimentArgs};
 use hotspot_calibration::{ReliabilityDiagram, Temperature};
 use hotspot_layout::BenchmarkSpec;
-use hotspot_nn::Matrix;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -28,10 +27,7 @@ fn main() {
     let bench = try_generate(&spec, args.seed).expect("benchmark generation succeeds");
 
     // Standardised features and a train / validation / test split.
-    let dct = bench.dct_features();
-    let (mean, std) = dct.column_stats();
-    let standardized = dct.standardized(&mean, &std);
-    let x = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    let (x, _, _) = standardized_dct(&bench);
     let y: Vec<usize> = bench.labels().iter().map(|l| l.class_index()).collect();
 
     let n = bench.len();

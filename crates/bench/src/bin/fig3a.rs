@@ -6,10 +6,9 @@
 //! highest-diversity points flagged (the paper colours them orange —
 //! points away from clusters or on group boundaries are preferred).
 
-use hotspot_active::{diversity_scores, HotspotModel};
+use hotspot_active::{diversity_scores, standardized_dct, HotspotModel};
 use hotspot_bench::{project_2d, try_generate, write_json, ExperimentArgs};
 use hotspot_layout::BenchmarkSpec;
-use hotspot_nn::Matrix;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -25,10 +24,7 @@ fn main() {
     let spec = BenchmarkSpec::iccad16_2().scaled(args.scale.max(0.25));
     let bench = try_generate(&spec, args.seed).expect("benchmark generation succeeds");
 
-    let dct = bench.dct_features();
-    let (mean, std) = dct.column_stats();
-    let standardized = dct.standardized(&mean, &std);
-    let x = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    let (x, _, _) = standardized_dct(&bench);
     let y: Vec<usize> = bench.labels().iter().map(|l| l.class_index()).collect();
 
     // A lightly trained model provides the embedding space.

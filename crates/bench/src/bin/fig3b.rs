@@ -3,14 +3,14 @@
 //! The paper reports 153.97 vs 8.28 (×10⁻⁴ s) per diversity evaluation. This
 //! binary measures both on the same query set: the paper's metric is a
 //! single O(n²·d) min-distance pass; the QP baseline must build the n × n
-//! similarity matrix *and* run the projected-gradient solve. A Criterion
-//! micro-benchmark of the same comparison lives in `benches/diversity.rs`.
+//! similarity matrix *and* run the projected-gradient solve. The gated
+//! `lithohd-profile` microbench times the same comparison as its adjacent
+//! `diversity` and `qp_diversity` rows.
 
-use hotspot_active::{diversity_scores, HotspotModel};
+use hotspot_active::{diversity_scores, standardized_dct, HotspotModel};
 use hotspot_baselines::QpSelector;
 use hotspot_bench::{try_generate, write_json, ExperimentArgs};
 use hotspot_layout::BenchmarkSpec;
-use hotspot_nn::Matrix;
 use hotspot_qp::QpSolver;
 use serde::Serialize;
 use std::time::Instant;
@@ -28,10 +28,7 @@ fn main() {
     let spec = BenchmarkSpec::iccad16_3().scaled(args.scale.max(0.25));
     let bench = try_generate(&spec, args.seed).expect("benchmark generation succeeds");
 
-    let dct = bench.dct_features();
-    let (mean, std) = dct.column_stats();
-    let standardized = dct.standardized(&mean, &std);
-    let x = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    let (x, _, _) = standardized_dct(&bench);
     let model = HotspotModel::new(x.cols(), args.seed, 1.0, 1e-3, 32);
 
     let query: Vec<usize> = (0..bench.len()).take(256).collect();

@@ -1,9 +1,11 @@
-//! `lithohd-profile` — deterministic microbench over the five hot kernels.
+//! `lithohd-profile` — deterministic microbench over the hot kernels.
 //!
-//! Times the ROADMAP-item-1 hot loops (conv2d forward, 8×8 block DCT, GMM
-//! EM, diversity scoring, aerial-image convolution) on fixed seeded inputs
-//! with a fixed warmup and a median over repeated batched samples, then
-//! writes a JSON array of `KernelSample`s. No statistics framework: each
+//! Times conv2d forward, 8×8 block DCT, GMM EM, diversity scoring,
+//! aerial-image convolution, hotspot-model inference and training (the
+//! Dense matmuls behind `/score` and `nn.train`), and the QP diversity
+//! baseline of Fig. 3(b) on fixed seeded inputs with a fixed warmup and a
+//! median over repeated batched samples, then writes a JSON array of
+//! `KernelSample`s. No statistics framework: each
 //! sample times `batch` back-to-back iterations behind
 //! `std::hint::black_box` and divides, and the median over samples is the
 //! reported number — the same shape `lithohd-report gate --tolerance-time`
@@ -16,12 +18,14 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use hotspot_active::diversity_scores;
+use hotspot_active::{diversity_scores, HotspotModel};
+use hotspot_baselines::QpSelector;
 use hotspot_bench::profile::{median_ns, KernelSample};
 use hotspot_features::Dct2d;
 use hotspot_gmm::{GaussianMixture, GmmConfig};
 use hotspot_litho::GaussianKernel;
 use hotspot_nn::{Conv2d, InitRng, Layer, Matrix};
+use hotspot_qp::QpSolver;
 
 const USAGE: &str = "usage: lithohd-profile [--out <path>] [--samples <n>] [--warmup <n>]\n\
   --out <path>      write the JSON sample array here (default: stdout only)\n\
@@ -100,6 +104,9 @@ fn profile_all(samples: usize, warmup: usize) -> Vec<KernelSample> {
         bench_gmm_em(samples, warmup),
         bench_diversity(samples, warmup),
         bench_aerial(samples, warmup),
+        bench_dense_infer(samples, warmup),
+        bench_dense_train(samples, warmup),
+        bench_qp_diversity(samples, warmup),
     ]
 }
 
@@ -198,6 +205,48 @@ fn bench_aerial(samples: usize, warmup: usize) -> KernelSample {
     measure("aerial", samples, warmup, 16, || {
         kernel.convolve_2d(&src, &mut dst, 64, 64);
         dst[0]
+    })
+}
+
+/// Hotspot-model forward pass (logits plus embedding) over 256 rows of the
+/// 148-wide DCT features: the Dense matmuls behind `/score` and pool
+/// prediction.
+fn bench_dense_infer(samples: usize, warmup: usize) -> KernelSample {
+    let model = HotspotModel::new(148, 3, 1.0, 1e-3, 32);
+    let input = det_matrix(256, 148);
+    measure("dense_infer", samples, warmup, 4, || {
+        let (logits, _) = model.predict(&input);
+        logits.row(0)[0]
+    })
+}
+
+/// One `nn.train` epoch: 64 labelled rows in mini-batches of 32. The model
+/// keeps training across iterations, as in the active loop's fine-tuning.
+fn bench_dense_train(samples: usize, warmup: usize) -> KernelSample {
+    let mut model = HotspotModel::new(148, 3, 1.0, 1e-3, 32);
+    let input = det_matrix(64, 148);
+    let labels: Vec<usize> = (0..64).map(|i| i % 2).collect();
+    measure("dense_train", samples, warmup, 8, || {
+        let report = model
+            .train(&input, &labels, 1, 0)
+            .expect("profile training batch is valid");
+        report.final_loss() as f32
+    })
+}
+
+/// The QP diversity baseline of [14] on the `diversity` row's 96×16
+/// embeddings: build the similarity problem and run the projected-gradient
+/// solve for a batch of 25, so Fig. 3(b) reads as two adjacent rows.
+fn bench_qp_diversity(samples: usize, warmup: usize) -> KernelSample {
+    let embeddings = det_matrix(96, 16);
+    let uncertainty = vec![0.5f32; embeddings.rows()];
+    let selector = QpSelector::new();
+    let solver = QpSolver::default();
+    measure("qp_diversity", samples, warmup, 4, || {
+        let problem = selector
+            .build_problem(&embeddings, &uncertainty, 25)
+            .expect("profile QP shapes agree");
+        solver.solve(&problem).values[0] as f32
     })
 }
 

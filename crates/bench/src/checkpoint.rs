@@ -208,7 +208,7 @@ impl CheckpointedSequence {
         telemetry::restore_metrics_state(&bundle.metrics);
         telemetry::set_run_id_watermark(bundle.run_id_watermark);
         telemetry::counter(telemetry::names::CHECKPOINT_RESUMES).incr();
-        args.open_journal_resumed(bundle.journal);
+        args.open_journal_resumed(bundle.journal.unwrap_or_default());
         if let Some(sink) = journal_sink() {
             sink.record_resume(bundle.run.iteration as u64, key);
         }

@@ -318,7 +318,7 @@ impl ExperimentArgs {
             // already survive in the file), regenerate the benchmark
             // without double-journalling those events, truncate, and only
             // then start appending — see `open_journal_resumed`.
-            self.open_journal(false, None);
+            self.open_journal(None);
         }
         if let Some(addr) = &self.metrics_addr {
             match telemetry::serve_metrics(addr) {
@@ -338,31 +338,23 @@ impl ExperimentArgs {
     /// Opens the `--journal` sink for a resumed run: the file is truncated
     /// back to the checkpoint's durable [`JournalPosition`] (records the
     /// crashed process wrote after its last save must not survive twice —
-    /// the resumed run re-emits them), then opened in append mode so the
-    /// continuation extends the surviving prefix. No-op without
-    /// `--journal`.
-    pub fn open_journal_resumed(&self, position: Option<JournalPosition>) {
+    /// the resumed run re-emits them), then appended to, so the
+    /// continuation extends the surviving prefix. A checkpoint saved
+    /// without a journal resumes at [`JournalPosition::default`]. No-op
+    /// without `--journal`.
+    pub fn open_journal_resumed(&self, position: JournalPosition) {
         if self.journal.is_some() {
-            self.open_journal(true, position);
+            self.open_journal(Some(position));
         }
     }
 
-    fn open_journal(&self, append: bool, truncate_to: Option<JournalPosition>) {
+    fn open_journal(&self, resume_at: Option<JournalPosition>) {
         // lithohd-lint: allow(panic-safety) — `open_journal` is only called with `journal` set
         let path = self.journal.as_ref().expect("journal path present");
-        if let Some(position) = truncate_to {
-            if let Ok(file) = std::fs::File::options().write(true).open(path) {
-                if let Err(e) = file.set_len(position.bytes) {
-                    eprintln!("cannot truncate journal {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        }
-        let sink = match (self.canonical_journal, append) {
-            (true, true) => JsonlSink::create_canonical_append(path),
-            (true, false) => JsonlSink::create_canonical(path),
-            (false, true) => JsonlSink::append(path),
-            (false, false) => JsonlSink::create(path),
+        let sink = match resume_at {
+            Some(position) => JsonlSink::resume(path, position, self.canonical_journal),
+            None if self.canonical_journal => JsonlSink::create_canonical(path),
+            None => JsonlSink::create(path),
         };
         match sink {
             Ok(sink) => {

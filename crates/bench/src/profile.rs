@@ -1,9 +1,10 @@
 //! Per-kernel microbenchmark samples and their wall-clock regression gate.
 //!
-//! The `lithohd-profile` binary times the five ROADMAP-item-1 hot kernels
-//! (conv2d, block DCT, GMM EM, diversity, aerial convolution) with a fixed
-//! warmup and a median over repeated batched samples, then writes the
-//! measurements as a JSON array of [`KernelSample`]s. A committed copy
+//! The `lithohd-profile` binary times the hot kernels (conv2d, block DCT,
+//! GMM EM, diversity, aerial convolution, hotspot-model inference and
+//! training, and the QP diversity baseline) with a fixed warmup and a
+//! median over repeated batched samples, then writes the measurements as a
+//! JSON array of [`KernelSample`]s. A committed copy
 //! (`BENCH_kernels.json`) is the baseline that `lithohd-report gate
 //! --tolerance-time` compares fresh runs against, so a kernel that silently
 //! gets slower fails CI the same way an accuracy regression does.
@@ -26,7 +27,8 @@ use std::path::Path;
 /// what lets a CI gate use these numbers at all.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelSample {
-    /// Kernel label: `conv2d`, `dct`, `gmm_em`, `diversity`, or `aerial`.
+    /// Kernel label: `conv2d`, `dct`, `gmm_em`, `diversity`, `aerial`,
+    /// `dense_infer`, `dense_train`, or `qp_diversity`.
     pub kernel: String,
     /// Median per-iteration wall time in nanoseconds.
     pub median_ns: u64,

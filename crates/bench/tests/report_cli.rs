@@ -1,8 +1,11 @@
 //! End-to-end tests for the `lithohd-report` binary: the real executable is
 //! spawned on synthetic journals and a committed-style baseline, covering
 //! the Markdown report (including truncated-journal tolerance), the diff
-//! view, and both gate verdicts with their exit codes.
+//! view, and both gate verdicts with their exit codes. One case spawns
+//! `lithohd-profile` to check that the committed kernel baseline covers
+//! every kernel it times.
 
+use hotspot_bench::profile::{load_kernel_baseline, KernelSample};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -176,4 +179,33 @@ fn usage_errors_exit_2() {
         run(&["report", "/nonexistent/journal.jsonl"]).status.code(),
         Some(2)
     );
+}
+
+#[test]
+fn kernel_baseline_covers_every_profiled_kernel() {
+    // The kernel gate ignores kernels the baseline lacks, so a newly
+    // profiled kernel would stay ungated until the baseline is regenerated.
+    let out = std::env::temp_dir().join(format!(
+        "lithohd-report-{}-profile.json",
+        std::process::id()
+    ));
+    let output = Command::new(env!("CARGO_BIN_EXE_lithohd-profile"))
+        .args(["--samples", "1", "--warmup", "0", "--out"])
+        .arg(&out)
+        .output()
+        .expect("lithohd-profile spawns");
+    assert!(output.status.success(), "got: {}", stdout(&output));
+    let profiled = load_kernel_baseline(&out).expect("profile output parses");
+    cleanup(&[&out]);
+    let committed = load_kernel_baseline(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_kernels.json"
+    ))
+    .expect("committed kernel baseline parses");
+    let names = |rows: &[KernelSample]| {
+        rows.iter()
+            .map(|row| row.kernel.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names(&profiled), names(&committed));
 }

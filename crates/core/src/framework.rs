@@ -229,10 +229,7 @@ impl SamplingFramework {
         // for the mixture model. Both are unlabeled-data statistics, so no
         // label information leaks into preprocessing. Recomputed on resume
         // too: a pure function of the benchmark, emitting no telemetry.
-        let dct = bench.dct_features();
-        let (mean, std) = dct.column_stats();
-        let standardized = dct.standardized(&mean, &std);
-        let features = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+        let (features, _, _) = standardized_dct(bench);
 
         let state = match resume_cp {
             Some(cp) => resume_loop_state(cp, config, oracle, &features, seed, run_id)?,
@@ -630,6 +627,19 @@ struct LoopState {
     /// The cold-batch stop already fired before the checkpoint; skip the
     /// loop entirely and go straight to detection.
     finished: bool,
+}
+
+/// The benchmark's DCT features standardised per column, as the classifier
+/// sees them, together with the column means and standard deviations
+/// (which a scorer keeps to standardise unseen clips the same way). The
+/// statistics come from unlabeled features only, so no label information
+/// leaks into preprocessing.
+pub fn standardized_dct(bench: &GeneratedBenchmark) -> (Matrix, Vec<f32>, Vec<f32>) {
+    let dct = bench.dct_features();
+    let (mean, std) = dct.column_stats();
+    let standardized = dct.standardized(&mean, &std);
+    let features = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    (features, mean, std)
 }
 
 /// The pre-loop phase of Algorithm 2 (lines 1–5): GMM scoring, the initial

@@ -56,7 +56,9 @@ pub use config::{AblationConfig, SamplingConfig, WeightMode};
 pub use dataset::{ActiveDataset, LabelBatchReport};
 pub use diversity::{diversity_matrix, diversity_scores};
 pub use error::ActiveError;
-pub use framework::{IterationStats, RunFaultStats, RunOutcome, SamplingFramework};
+pub use framework::{
+    standardized_dct, IterationStats, RunFaultStats, RunOutcome, SamplingFramework,
+};
 pub use metrics::PshdMetrics;
 pub use model::{HotspotModel, ModelState};
 pub use selector::{

@@ -208,7 +208,7 @@ impl HotspotModel {
         self.net.infer_with_embedding(x)
     }
 
-    /// Pool-scale prediction in chunks (parallel when cores allow).
+    /// Pool-scale prediction in chunks of 2048 rows, run sequentially.
     pub fn predict_pool(&self, x: &Matrix) -> (Matrix, Matrix) {
         self.net.infer_pool(x, 2048)
     }

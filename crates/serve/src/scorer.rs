@@ -14,7 +14,7 @@
 //! `tests/batching.rs`). That property is what makes the micro-batcher in
 //! [`crate::batcher`] transparent to clients.
 
-use hotspot_active::{uncertainty_scores, HotspotModel, SamplingConfig};
+use hotspot_active::{standardized_dct, uncertainty_scores, HotspotModel, SamplingConfig};
 use hotspot_calibration::Temperature;
 use hotspot_features::FeatureExtractor;
 use hotspot_geom::{Raster, Rect};
@@ -96,10 +96,8 @@ impl Scorer {
         seed: u64,
         epochs: usize,
     ) -> Result<Scorer, ServeError> {
-        let dct = bench.dct_features();
-        let (mean, std) = dct.column_stats();
-        let standardized = dct.standardized(&mean, &std);
-        let features = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+        let (features, mean, std) = standardized_dct(bench);
+        let dim = features.cols();
         let labels: Vec<usize> = bench
             .labels()
             .iter()
@@ -122,7 +120,7 @@ impl Scorer {
 
         let defaults = SamplingConfig::for_benchmark(bench.len());
         let mut model = HotspotModel::new(
-            dct.dim(),
+            dim,
             seed ^ 0x5e5e_0001,
             defaults.init_sigma,
             defaults.learning_rate,
@@ -135,7 +133,7 @@ impl Scorer {
         let temperature = Temperature::fit(val_logits.as_slice(), 2, &val_y)
             .map_err(|e| ServeError::Internal(format!("temperature fit failed: {e}")))?;
 
-        let model_version = format!("{}-s{}-e{}-d{}", bench.spec().name, seed, epochs, dct.dim());
+        let model_version = format!("{}-s{}-e{}-d{}", bench.spec().name, seed, epochs, dim);
         let calibration_version = format!("T{:.6}", temperature.value());
         Ok(Scorer {
             model,

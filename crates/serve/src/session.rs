@@ -384,9 +384,8 @@ impl Runner {
                 telemetry::restore_metrics_state(&bundle.metrics);
                 telemetry::set_run_id_watermark(bundle.run_id_watermark);
                 self.registry.counter(names::SERVE_SESSION_RESUMES).incr();
-                let bytes = bundle.journal.as_ref().map_or(0, |position| position.bytes);
-                truncate_journal(&journal_path, bytes)?;
-                let sink = JsonlSink::create_canonical_append(&journal_path)
+                let position = bundle.journal.unwrap_or_default();
+                let sink = JsonlSink::resume(&journal_path, position, true)
                     .map_err(|e| ServeError::Internal(format!("cannot reopen journal: {e}")))?;
                 sink.record_resume(bundle.run.iteration as u64, key);
                 (Arc::new(sink), Some(bundle.run), key + 1)
@@ -489,20 +488,6 @@ fn read_done(dir: &Path) -> Result<Option<DoneRecord>, ServeError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(ServeError::Internal(format!(
             "cannot read done record: {e}"
-        ))),
-    }
-}
-
-fn truncate_journal(path: &Path, bytes: u64) -> Result<(), ServeError> {
-    match std::fs::File::options().write(true).open(path) {
-        Ok(file) => file
-            .set_len(bytes)
-            .map_err(|e| ServeError::Internal(format!("cannot truncate journal: {e}"))),
-        // A checkpoint without a journal byte is only consistent with an
-        // empty journal; create_canonical_append will create the file.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && bytes == 0 => Ok(()),
-        Err(e) => Err(ServeError::Internal(format!(
-            "cannot reopen journal for truncation: {e}"
         ))),
     }
 }

@@ -100,54 +100,68 @@ struct JournalWriter {
 impl JsonlSink {
     /// Creates (truncating) the journal file.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, false, false)
+        Self::open(path, false)
     }
 
     /// Creates (truncating) the journal file in canonical mode: all
     /// wall-clock data is withheld so identically-seeded runs write
     /// byte-identical journals.
     pub fn create_canonical(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, true, false)
+        Self::open(path, true)
     }
 
-    /// Opens the journal for appending (creating it when absent), so a
-    /// resumed run continues the file its interrupted predecessor left
-    /// behind. Sequence numbers continue from the existing line count.
-    pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, false, true)
-    }
-
-    /// [`Self::append`] in canonical mode; with the journal first truncated
-    /// to the checkpoint's [`JournalPosition`], the continuation is
+    /// Reopens a journal for a resumed run: the file is truncated to the
+    /// checkpoint's [`JournalPosition`] (records an interrupted process
+    /// wrote after its last save must not survive twice) and new records
+    /// are appended, numbered from `position.seq`. With the same
+    /// `canonical` mode as the interrupted run, the continuation is
     /// byte-identical to an uninterrupted run's journal.
-    pub fn create_canonical_append(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, true, true)
+    ///
+    /// A file shorter than `position.bytes` — in particular a missing file
+    /// when `position.bytes > 0` — is an error: appending would silently
+    /// lose the journal prefix the checkpoint accounts for. A missing file
+    /// at position zero is created.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        position: JournalPosition,
+        canonical: bool,
+    ) -> io::Result<Self> {
+        let file = File::options()
+            .append(true)
+            .create(position.bytes == 0)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        if len < position.bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "journal holds {len} bytes but the checkpoint resumes at byte {}",
+                    position.bytes
+                ),
+            ));
+        }
+        file.set_len(position.bytes)?;
+        Ok(Self::with_file(file, canonical, position))
     }
 
-    fn open(path: impl AsRef<Path>, canonical: bool, append: bool) -> io::Result<Self> {
-        let (file, seq, bytes) = if append {
-            // Initialise the position from the surviving file: one record
-            // per line, so the next sequence number is the line count.
-            let existing = match std::fs::read(path.as_ref()) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(e),
-            };
-            let seq = existing.iter().filter(|&&b| b == b'\n').count() as u64;
-            let file = File::options().create(true).append(true).open(path)?;
-            (file, seq, existing.len() as u64)
-        } else {
-            (File::create(path)?, 0, 0)
-        };
-        Ok(JsonlSink {
+    fn open(path: impl AsRef<Path>, canonical: bool) -> io::Result<Self> {
+        Ok(Self::with_file(
+            File::create(path)?,
+            canonical,
+            JournalPosition::default(),
+        ))
+    }
+
+    fn with_file(file: File, canonical: bool, position: JournalPosition) -> Self {
+        JsonlSink {
             writer: Mutex::new(JournalWriter {
                 out: BufWriter::new(file),
-                seq,
-                bytes,
+                seq: position.seq,
+                bytes: position.bytes,
             }),
             opened: Instant::now(),
             canonical,
-        })
+        }
     }
 
     /// Whether this journal withholds wall-clock and provenance data.
@@ -417,9 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn append_continues_position_and_sequence() {
+    fn resume_truncates_to_the_position_and_continues_the_sequence() {
         let path = std::env::temp_dir().join(format!(
-            "lithohd-journal-append-test-{}.jsonl",
+            "lithohd-journal-resume-test-{}.jsonl",
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
@@ -427,18 +441,19 @@ mod tests {
         sink.on_event(&sample_event());
         sink.on_event(&sample_event());
         let position = sink.position();
+        // A record written after the checkpoint: the resume must drop it.
+        sink.on_event(&sample_event());
         drop(sink);
         assert_eq!(position.seq, 2);
-        assert_eq!(
-            position.bytes,
-            std::fs::metadata(&path).unwrap().len(),
-            "tracked bytes must equal the file length"
-        );
+        assert!(position.bytes < std::fs::metadata(&path).unwrap().len());
 
-        // Simulate a resume: truncate to the recorded position (a no-op
-        // here) and reopen for appending.
-        let resumed = JsonlSink::create_canonical_append(&path).unwrap();
+        let resumed = JsonlSink::resume(&path, position, true).unwrap();
         assert_eq!(resumed.position(), position);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            position.bytes,
+            "the journal is truncated to the checkpoint's byte offset"
+        );
         resumed.on_event(&sample_event());
         drop(resumed);
 
@@ -451,13 +466,36 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_journal_shorter_than_its_position() {
+        let path = std::env::temp_dir().join(format!(
+            "lithohd-journal-resume-missing-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let position = JournalPosition { bytes: 64, seq: 1 };
+        assert!(JsonlSink::resume(&path, position, true).is_err());
+        assert!(!path.exists(), "a refused resume must not create the file");
+
+        std::fs::write(&path, b"{}\n").unwrap();
+        let err = JsonlSink::resume(&path, position, false).err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"{}\n",
+            "file left untouched"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn resume_record_written_plainly_but_withheld_canonically() {
         let dir = std::env::temp_dir();
         let plain_path = dir.join(format!(
             "lithohd-journal-resume-plain-{}.jsonl",
             std::process::id()
         ));
-        let plain = JsonlSink::append(&plain_path).unwrap();
+        std::fs::remove_file(&plain_path).ok();
+        let plain = JsonlSink::resume(&plain_path, JournalPosition::default(), false).unwrap();
         plain.record_resume(7, 3);
         drop(plain);
         let text = std::fs::read_to_string(&plain_path).unwrap();
@@ -471,7 +509,9 @@ mod tests {
             "lithohd-journal-resume-canon-{}.jsonl",
             std::process::id()
         ));
-        let canonical = JsonlSink::create_canonical_append(&canonical_path).unwrap();
+        std::fs::remove_file(&canonical_path).ok();
+        let canonical =
+            JsonlSink::resume(&canonical_path, JournalPosition::default(), true).unwrap();
         canonical.record_resume(7, 3);
         drop(canonical);
         let text = std::fs::read_to_string(&canonical_path).unwrap();

@@ -6,10 +6,9 @@
 //! cargo run --release --example calibrate_model
 //! ```
 
-use lithohd::active::HotspotModel;
+use lithohd::active::{standardized_dct, HotspotModel};
 use lithohd::calibration::{ReliabilityDiagram, RocCurve, Temperature};
 use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark};
-use lithohd::nn::Matrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = BenchmarkSpec::iccad16_3().scaled(0.4);
@@ -17,10 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = GeneratedBenchmark::generate(&spec, 3)?;
 
     // Standardised features; train / validation / test split.
-    let dct = bench.dct_features();
-    let (mean, std) = dct.column_stats();
-    let standardized = dct.standardized(&mean, &std);
-    let x = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    let (x, _, _) = standardized_dct(&bench);
     let y: Vec<usize> = bench.labels().iter().map(|l| l.class_index()).collect();
     let train: Vec<usize> = (0..bench.len()).filter(|i| i % 4 == 0).collect();
     let val: Vec<usize> = (0..bench.len()).filter(|i| i % 4 == 1).collect();
