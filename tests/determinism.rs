@@ -4,12 +4,16 @@
 
 use lithohd::active::{EntropySelector, SamplingConfig, SamplingFramework};
 use lithohd::gmm::{GaussianMixture, GmmConfig};
-use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark, Tech};
+use lithohd::layout::{BenchmarkSpec, ClipFamily, ClipRecipe, GeneratedBenchmark, Tech};
 
 fn spec() -> BenchmarkSpec {
+    spec_for(Tech::Duv28)
+}
+
+fn spec_for(tech: Tech) -> BenchmarkSpec {
     BenchmarkSpec {
         name: "determinism".to_owned(),
-        tech: Tech::Duv28,
+        tech,
         hotspots: 12,
         non_hotspots: 108,
         dup_rate: 0.2,
@@ -25,6 +29,86 @@ fn generation_is_bit_exact_across_runs() {
     assert_eq!(a.recipes(), b.recipes());
     assert_eq!(a.dct_features().as_slice(), b.dct_features().as_slice());
     assert_eq!(a.signatures(), b.signatures());
+}
+
+/// 64-bit FNV-1a, spelled out here so the digest never depends on a
+/// library hasher whose output may change between releases.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Digest of everything generation computes from simulation and feature
+/// extraction: labels, recipes, the bits of every DCT and density feature,
+/// and each signature's core-density grid. `exact_hash` is left out because
+/// it comes from `DefaultHasher`, whose output is not stable across Rust
+/// releases.
+fn generation_digest(bench: &GeneratedBenchmark) -> u64 {
+    let mut h = Fnv1a::new();
+    h.u64(bench.len() as u64);
+    for label in bench.labels() {
+        h.bytes(&[u8::from(label.is_hotspot())]);
+    }
+    for recipe in bench.recipes() {
+        match *recipe {
+            ClipRecipe::Fresh { family, seed } => {
+                let family = match family {
+                    ClipFamily::Safe => 0u8,
+                    ClipFamily::NearMiss => 1,
+                    ClipFamily::Pinch => 2,
+                    ClipFamily::Bridge => 3,
+                };
+                h.bytes(&[0, family]);
+                h.u64(seed);
+            }
+            ClipRecipe::Duplicate { source } => {
+                h.bytes(&[1]);
+                h.u64(source as u64);
+            }
+        }
+    }
+    for features in [bench.dct_features(), bench.density_features()] {
+        h.u64(features.dim() as u64);
+        for &v in features.as_slice() {
+            h.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+    for signature in bench.signatures() {
+        h.bytes(&signature.core_density);
+    }
+    h.0
+}
+
+/// Pins generation to digests taken before the labelling kernels were
+/// rewritten, so any change to a label, feature bit or density grid fails
+/// here rather than only when this code is compared with itself.
+#[test]
+fn generation_matches_pinned_digest() {
+    for (tech, expected) in [
+        (Tech::Duv28, 0xcc1e_7d0e_09cf_eb14u64),
+        (Tech::Euv7, 0x8ee4_c36e_c030_4bc8u64),
+    ] {
+        let bench = GeneratedBenchmark::generate(&spec_for(tech), 31).expect("generation succeeds");
+        let digest = generation_digest(&bench);
+        assert_eq!(
+            digest, expected,
+            "{tech:?} generation digest {digest:#018x} differs from the pinned value"
+        );
+    }
 }
 
 #[test]
