@@ -1,7 +1,8 @@
 //! `lithohd-profile` — deterministic microbench over the hot kernels.
 //!
 //! Times conv2d forward, 8×8 block DCT, GMM EM, diversity scoring,
-//! aerial-image convolution, hotspot-model inference and training (the
+//! aerial-image convolution, one full clip label (aerial image, resist and
+//! both defect checks), hotspot-model inference and training (the
 //! Dense matmuls behind `/score` and `nn.train`), and the QP diversity
 //! baseline of Fig. 3(b) on fixed seeded inputs with a fixed warmup and a
 //! median over repeated batched samples, then writes a JSON array of
@@ -22,8 +23,9 @@ use hotspot_active::{diversity_scores, HotspotModel};
 use hotspot_baselines::QpSelector;
 use hotspot_bench::profile::{median_ns, KernelSample};
 use hotspot_features::Dct2d;
+use hotspot_geom::{ClipWindow, Raster, Rect};
 use hotspot_gmm::{GaussianMixture, GmmConfig};
-use hotspot_litho::GaussianKernel;
+use hotspot_litho::{DefectKind, GaussianKernel, LithoConfig, LithoSimulator};
 use hotspot_nn::{Conv2d, InitRng, Layer, Matrix};
 use hotspot_qp::QpSolver;
 
@@ -104,6 +106,7 @@ fn profile_all(samples: usize, warmup: usize) -> Vec<KernelSample> {
         bench_gmm_em(samples, warmup),
         bench_diversity(samples, warmup),
         bench_aerial(samples, warmup),
+        bench_label(samples, warmup),
         bench_dense_infer(samples, warmup),
         bench_dense_train(samples, warmup),
         bench_qp_diversity(samples, warmup),
@@ -197,14 +200,40 @@ fn bench_diversity(samples: usize, warmup: usize) -> KernelSample {
     })
 }
 
-/// Separable aerial-image convolution: σ = 1.5 px PSF over a 64×64 clip.
+/// Separable aerial-image convolution at the production shape: a 120×120
+/// DUV28 clip (1200 nm at 10 nm pitch) under the DUV28 PSF (σ = 3 px).
 fn bench_aerial(samples: usize, warmup: usize) -> KernelSample {
-    let kernel = GaussianKernel::new(1.5);
-    let src: Vec<f32> = (0..64 * 64).map(|i| det(i) + 0.5).collect();
-    let mut dst = vec![0.0f32; 64 * 64];
+    let kernel = GaussianKernel::new(LithoConfig::duv_28nm().sigma_px());
+    let src: Vec<f32> = (0..120 * 120).map(|i| det(i) + 0.5).collect();
+    let mut dst = vec![0.0f32; 120 * 120];
     measure("aerial", samples, warmup, 16, || {
-        kernel.convolve_2d(&src, &mut dst, 64, 64);
+        kernel.convolve_2d(&src, &mut dst, 120, 120);
         dst[0]
+    })
+}
+
+/// One clip label as generation pays for it: `LithoSimulator::analyze` on a
+/// DUV28 clip holding a sub-resolution wire pair (a bridge) and an
+/// unprintable wire (a pinch), so both defect checks find something.
+fn bench_label(samples: usize, warmup: usize) -> KernelSample {
+    let config = LithoConfig::duv_28nm();
+    let clip = ClipWindow::new(Rect::new(0, 0, 1200, 1200).expect("valid clip"), 600)
+        .expect("valid clip window");
+    let mut raster = Raster::zeros_for(&clip, config.pitch).expect("clip raster fits");
+    for (y0, y1) in [(330, 490), (520, 680), (780, 810)] {
+        raster.fill_rect(&Rect::new(100, y0, 1100, y1).expect("valid wire"), 1.0);
+    }
+    let sim = LithoSimulator::new(config);
+    let report = sim.analyze(&raster, clip.core());
+    for kind in [DefectKind::Bridge, DefectKind::Pinch] {
+        assert!(
+            report.defects().iter().any(|d| d.kind == kind),
+            "profile clip must show a {kind}: {:?}",
+            report.defects()
+        );
+    }
+    measure("label", samples, warmup, 8, || {
+        sim.analyze(&raster, clip.core()).defects().len() as f32
     })
 }
 

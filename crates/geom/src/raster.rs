@@ -184,29 +184,22 @@ impl Raster {
             height: new_height,
             data: vec![0.0; new_width * new_height],
         };
-        let sx = self.width as f64 / new_width as f64;
-        let sy = self.height as f64 / new_height as f64;
-        for row in 0..new_height {
-            let y0 = row as f64 * sy;
-            let y1 = (row as f64 + 1.0) * sy;
-            for col in 0..new_width {
-                let x0 = col as f64 * sx;
-                let x1 = (col as f64 + 1.0) * sx;
+        // Each output row (column) covers the same source rows (columns)
+        // with the same overlap weights, so compute them once per axis.
+        let rows = box_spans(self.height, new_height);
+        let cols = box_spans(self.width, new_width);
+        for ((r0, wys), out_row) in rows.iter().zip(out.data.chunks_exact_mut(new_width)) {
+            for ((c0, wxs), px) in cols.iter().zip(out_row.iter_mut()) {
                 let mut acc = 0.0f64;
                 let mut total = 0.0f64;
-                let rr0 = y0.floor() as usize;
-                let rr1 = (y1.ceil() as usize).min(self.height);
-                let cc0 = x0.floor() as usize;
-                let cc1 = (x1.ceil() as usize).min(self.width);
-                for r in rr0..rr1 {
-                    let wy = overlap(r as f64, r as f64 + 1.0, y0, y1);
-                    for c in cc0..cc1 {
-                        let wx = overlap(c as f64, c as f64 + 1.0, x0, x1);
-                        acc += (wx * wy) * self.data[r * self.width + c] as f64;
+                for (r, &wy) in (*r0..).zip(wys) {
+                    let src = &self.data[r * self.width + c0..];
+                    for (&wx, &v) in wxs.iter().zip(src) {
+                        acc += (wx * wy) * v as f64;
                         total += wx * wy;
                     }
                 }
-                out.data[row * new_width + col] = if total > 0.0 {
+                *px = if total > 0.0 {
                     (acc / total) as f32
                 } else {
                     0.0
@@ -312,6 +305,25 @@ fn div_ceil(a: Coord, b: Coord) -> i64 {
     (a + b - 1) / b
 }
 
+/// Box-filter footprint of each of `dst` output pixels resampling `src`
+/// source pixels along one axis: the first source pixel it covers and the
+/// overlap weight of each covered source pixel, in source order.
+fn box_spans(src: usize, dst: usize) -> Vec<(usize, Vec<f64>)> {
+    let scale = src as f64 / dst as f64;
+    (0..dst)
+        .map(|i| {
+            let lo = i as f64 * scale;
+            let hi = (i as f64 + 1.0) * scale;
+            let first = lo.floor() as usize;
+            let end = (hi.ceil() as usize).min(src);
+            let weights = (first..end)
+                .map(|s| overlap(s as f64, s as f64 + 1.0, lo, hi))
+                .collect();
+            (first, weights)
+        })
+        .collect()
+}
+
 fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
     (a1.min(b1) - a0.max(b0)).max(0.0)
 }
@@ -320,9 +332,71 @@ fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn region(w: Coord, h: Coord) -> Rect {
         Rect::new(0, 0, w, h).unwrap()
+    }
+
+    /// The per-pixel loop `resampled` replaced, kept as the reference its
+    /// output must match bit for bit.
+    fn reference_resampled(src: &Raster, new_width: usize, new_height: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; new_width * new_height];
+        let sx = src.width as f64 / new_width as f64;
+        let sy = src.height as f64 / new_height as f64;
+        for row in 0..new_height {
+            let y0 = row as f64 * sy;
+            let y1 = (row as f64 + 1.0) * sy;
+            for col in 0..new_width {
+                let x0 = col as f64 * sx;
+                let x1 = (col as f64 + 1.0) * sx;
+                let mut acc = 0.0f64;
+                let mut total = 0.0f64;
+                let rr0 = y0.floor() as usize;
+                let rr1 = (y1.ceil() as usize).min(src.height);
+                let cc0 = x0.floor() as usize;
+                let cc1 = (x1.ceil() as usize).min(src.width);
+                for r in rr0..rr1 {
+                    let wy = overlap(r as f64, r as f64 + 1.0, y0, y1);
+                    for c in cc0..cc1 {
+                        let wx = overlap(c as f64, c as f64 + 1.0, x0, x1);
+                        acc += (wx * wy) * src.data[r * src.width + c] as f64;
+                        total += wx * wy;
+                    }
+                }
+                out[row * new_width + col] = if total > 0.0 {
+                    (acc / total) as f32
+                } else {
+                    0.0
+                };
+            }
+        }
+        out
+    }
+
+    /// A `width × height` raster holding the first `width * height` values.
+    fn raster_of(values: &[f32], width: usize, height: usize) -> Raster {
+        let mut r = Raster::zeros(region(width as Coord, height as Coord), 1).unwrap();
+        r.pixels_mut().copy_from_slice(&values[..width * height]);
+        r
+    }
+
+    fn assert_resample_matches_reference(
+        src: &Raster,
+        new_width: usize,
+        new_height: usize,
+    ) -> Result<(), TestCaseError> {
+        let fast = src.resampled(new_width, new_height);
+        let slow = reference_resampled(src, new_width, new_height);
+        for (i, (a, b)) in fast.pixels().iter().zip(&slow).enumerate() {
+            prop_assert!(
+                a.to_bits() == b.to_bits(),
+                "{}x{} -> {new_width}x{new_height}: pixel {i} is {a} vs reference {b}",
+                src.width(),
+                src.height(),
+            );
+        }
+        Ok(())
     }
 
     #[test]
@@ -490,6 +564,26 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_shrinking_matches_reference_bits(
+            (width, height) in (1usize..=60, 1usize..=60),
+            (new_width, new_height) in (1usize..=60, 1usize..=60),
+            values in proptest::collection::vec(0.0f32..1.0, 3600),
+        ) {
+            let src = raster_of(&values, width, height);
+            assert_resample_matches_reference(&src, new_width.min(width), new_height.min(height))?;
+        }
+
+        #[test]
+        fn prop_enlarging_matches_reference_bits(
+            (width, height) in (1usize..=16, 1usize..=16),
+            (grow_x, grow_y) in (0usize..=40, 0usize..=40),
+            values in proptest::collection::vec(0.0f32..1.0, 256),
+        ) {
+            let src = raster_of(&values, width, height);
+            assert_resample_matches_reference(&src, width + grow_x, height + grow_y)?;
+        }
+
         #[test]
         fn prop_density_bounded(
             w in 1i64..30, h in 1i64..30,

@@ -25,20 +25,17 @@ pub struct Signature {
 impl Signature {
     /// Builds a signature for a clip raster with the given core region.
     pub fn from_raster(raster: &Raster, core: Rect) -> Self {
+        // Quantise before hashing so float noise cannot split clusters. One
+        // `write` of the whole buffer feeds SipHash the same byte stream as
+        // hashing each `u8` in turn, so the key is unchanged.
+        let quantised: Vec<u8> = raster.pixels().iter().map(|&px| quantise(px)).collect();
         let mut hasher = DefaultHasher::new();
-        // Quantise before hashing so float noise cannot split clusters.
-        for &px in raster.pixels() {
-            ((px.clamp(0.0, 1.0) * 255.0).round() as u8).hash(&mut hasher);
-        }
+        hasher.write(&quantised);
         let core_raster = raster
             .crop(&core)
             .unwrap_or_else(|| raster.clone())
             .resampled(DENSITY_EDGE, DENSITY_EDGE);
-        let core_density = core_raster
-            .pixels()
-            .iter()
-            .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-            .collect();
+        let core_density = core_raster.pixels().iter().map(|&v| quantise(v)).collect();
         Signature {
             exact_hash: hasher.finish(),
             core_density,
@@ -135,10 +132,16 @@ impl Signature {
     }
 }
 
+/// Maps a coverage value to one of 256 levels, saturating outside `[0, 1]`.
+fn quantise(v: f32) -> u8 {
+    (v.clamp(0.0, 1.0) * 255.0).round() as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hotspot_geom::{Raster, Rect};
+    use proptest::prelude::*;
 
     fn raster_with(xs: &[(i64, i64)]) -> Raster {
         let mut r = Raster::zeros(Rect::new(0, 0, 1200, 1200).unwrap(), 10).unwrap();
@@ -202,5 +205,24 @@ mod tests {
     fn tolerant_hash_rejects_zero_levels() {
         let a = Signature::from_raster(&raster_with(&[]), core());
         let _ = a.tolerant_hash(0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_exact_hash_matches_per_byte_hashing(
+            (width, height) in (1i64..=40, 1i64..=40),
+            values in proptest::collection::vec(-0.5f32..1.5, 1600),
+        ) {
+            // Values outside [0, 1] exercise the saturating quantiser.
+            let mut raster = Raster::zeros(Rect::new(0, 0, width, height).unwrap(), 1).unwrap();
+            let n = raster.pixels().len();
+            raster.pixels_mut().copy_from_slice(&values[..n]);
+            let mut hasher = DefaultHasher::new();
+            for &px in raster.pixels() {
+                ((px.clamp(0.0, 1.0) * 255.0).round() as u8).hash(&mut hasher);
+            }
+            let signature = Signature::from_raster(&raster, Rect::new(0, 0, width, height).unwrap());
+            prop_assert_eq!(signature.exact_hash, hasher.finish());
+        }
     }
 }

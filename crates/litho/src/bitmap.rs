@@ -22,6 +22,9 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
+    /// The [`Bitmap::label_map`] entry of an unset pixel.
+    pub const BACKGROUND: u32 = u32::MAX;
+
     /// Builds an all-false bitmap.
     pub fn zeros(width: usize, height: usize) -> Self {
         Bitmap {
@@ -101,62 +104,36 @@ impl Bitmap {
     }
 
     /// Morphological dilation with a Chebyshev ball of the given radius
-    /// (a `(2r+1)²` square structuring element).
+    /// (a `(2r+1)²` square structuring element). Pixels outside the image
+    /// count as unset.
+    ///
+    /// Separable over whole rows: each row ORs in copies of itself shifted by
+    /// `1..=r` columns either way, then each output row ORs the rows within
+    /// `r` above and below.
     pub fn dilated(&self, radius: usize) -> Bitmap {
-        self.morph(radius, true)
-    }
-
-    /// Morphological erosion with a Chebyshev ball of the given radius.
-    /// Pixels outside the image are treated as false, so shapes touching the
-    /// border erode from the border side too.
-    pub fn eroded(&self, radius: usize) -> Bitmap {
-        self.morph(radius, false)
-    }
-
-    fn morph(&self, radius: usize, dilate: bool) -> Bitmap {
-        if radius == 0 {
+        if radius == 0 || self.bits.is_empty() {
             return self.clone();
         }
-        let r = radius as isize;
-        // Separable: horizontal max/min pass then vertical.
-        let mut tmp = vec![false; self.bits.len()];
-        for row in 0..self.height {
-            for col in 0..self.width {
-                let mut acc = !dilate;
-                for d in -r..=r {
-                    let c = col as isize + d;
-                    let v = if c < 0 || c >= self.width as isize {
-                        false
-                    } else {
-                        self.bits[row * self.width + c as usize]
-                    };
-                    if dilate {
-                        acc |= v;
-                    } else {
-                        acc &= v;
-                    }
+        let w = self.width;
+        let mut tmp = self.bits.clone();
+        for (src, dst) in self.bits.chunks_exact(w).zip(tmp.chunks_exact_mut(w)) {
+            for d in 1..=radius.min(w - 1) {
+                for (o, &v) in dst[..w - d].iter_mut().zip(&src[d..]) {
+                    *o |= v;
                 }
-                tmp[row * self.width + col] = acc;
+                for (o, &v) in dst[d..].iter_mut().zip(&src[..w - d]) {
+                    *o |= v;
+                }
             }
         }
         let mut out = vec![false; self.bits.len()];
-        for col in 0..self.width {
-            for row in 0..self.height {
-                let mut acc = !dilate;
-                for d in -r..=r {
-                    let rr = row as isize + d;
-                    let v = if rr < 0 || rr >= self.height as isize {
-                        false
-                    } else {
-                        tmp[rr as usize * self.width + col]
-                    };
-                    if dilate {
-                        acc |= v;
-                    } else {
-                        acc &= v;
-                    }
+        for (row, dst) in out.chunks_exact_mut(w).enumerate() {
+            let lo = row.saturating_sub(radius);
+            let hi = (row + radius).min(self.height - 1);
+            for src in tmp[lo * w..(hi + 1) * w].chunks_exact(w) {
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o |= v;
                 }
-                out[row * self.width + col] = acc;
             }
         }
         Bitmap {
@@ -189,39 +166,47 @@ impl Bitmap {
         }
     }
 
-    /// Connected components of set pixels (4-connectivity). Each component is
-    /// a list of `(row, col)` pixels.
-    pub fn components(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut seen = vec![false; self.bits.len()];
-        let mut components = Vec::new();
+    /// Labels the connected components of set pixels (4-connectivity).
+    ///
+    /// Returns the row-major label map and the component count. Components
+    /// are numbered `0..count` in the row-major order of their first pixel;
+    /// unset pixels hold [`Bitmap::BACKGROUND`].
+    pub fn label_map(&self) -> (Vec<u32>, usize) {
+        let (w, h) = (self.width, self.height);
+        let mut labels = vec![Self::BACKGROUND; self.bits.len()];
+        let mut count = 0u32;
+        let mut stack = Vec::new();
         for start in 0..self.bits.len() {
-            if !self.bits[start] || seen[start] {
+            if !self.bits[start] || labels[start] != Self::BACKGROUND {
                 continue;
             }
-            let mut stack = vec![start];
-            seen[start] = true;
-            let mut comp = Vec::new();
+            let id = count;
+            count += 1;
+            labels[start] = id;
+            stack.push(start);
             while let Some(idx) = stack.pop() {
-                let (row, col) = (idx / self.width, idx % self.width);
-                comp.push((row, col));
-                let mut push = |r: isize, c: isize| {
-                    if r < 0 || c < 0 || r >= self.height as isize || c >= self.width as isize {
-                        return;
-                    }
-                    let i = r as usize * self.width + c as usize;
-                    if self.bits[i] && !seen[i] {
-                        seen[i] = true;
+                let (row, col) = (idx / w, idx % w);
+                let mut visit = |i: usize| {
+                    if self.bits[i] && labels[i] == Self::BACKGROUND {
+                        labels[i] = id;
                         stack.push(i);
                     }
                 };
-                push(row as isize - 1, col as isize);
-                push(row as isize + 1, col as isize);
-                push(row as isize, col as isize - 1);
-                push(row as isize, col as isize + 1);
+                if row > 0 {
+                    visit(idx - w);
+                }
+                if row + 1 < h {
+                    visit(idx + w);
+                }
+                if col > 0 {
+                    visit(idx - 1);
+                }
+                if col + 1 < w {
+                    visit(idx + 1);
+                }
             }
-            components.push(comp);
         }
-        components
+        (labels, count as usize)
     }
 }
 
@@ -242,6 +227,87 @@ mod tests {
         bm
     }
 
+    fn bitmap_from_bits(bits: &[bool], width: usize, height: usize) -> Bitmap {
+        let mut bm = Bitmap::zeros(width, height);
+        bm.bits.copy_from_slice(&bits[..width * height]);
+        bm
+    }
+
+    /// The per-pixel dilation loop `dilated` replaced, kept as the reference
+    /// its output must match exactly.
+    fn reference_dilated(bm: &Bitmap, radius: usize) -> Bitmap {
+        if radius == 0 {
+            return bm.clone();
+        }
+        let r = radius as isize;
+        let mut tmp = vec![false; bm.bits.len()];
+        for row in 0..bm.height {
+            for col in 0..bm.width {
+                let mut acc = false;
+                for d in -r..=r {
+                    let c = col as isize + d;
+                    if c >= 0 && c < bm.width as isize {
+                        acc |= bm.bits[row * bm.width + c as usize];
+                    }
+                }
+                tmp[row * bm.width + col] = acc;
+            }
+        }
+        let mut out = vec![false; bm.bits.len()];
+        for col in 0..bm.width {
+            for row in 0..bm.height {
+                let mut acc = false;
+                for d in -r..=r {
+                    let rr = row as isize + d;
+                    if rr >= 0 && rr < bm.height as isize {
+                        acc |= tmp[rr as usize * bm.width + col];
+                    }
+                }
+                out[row * bm.width + col] = acc;
+            }
+        }
+        Bitmap {
+            width: bm.width,
+            height: bm.height,
+            bits: out,
+        }
+    }
+
+    /// The pixel-list flood fill `label_map` replaced, kept as the reference
+    /// for its partition and numbering.
+    fn reference_components(bm: &Bitmap) -> Vec<Vec<(usize, usize)>> {
+        let mut seen = vec![false; bm.bits.len()];
+        let mut components = Vec::new();
+        for start in 0..bm.bits.len() {
+            if !bm.bits[start] || seen[start] {
+                continue;
+            }
+            let mut stack = vec![start];
+            seen[start] = true;
+            let mut comp = Vec::new();
+            while let Some(idx) = stack.pop() {
+                let (row, col) = (idx / bm.width, idx % bm.width);
+                comp.push((row, col));
+                let mut push = |r: isize, c: isize| {
+                    if r < 0 || c < 0 || r >= bm.height as isize || c >= bm.width as isize {
+                        return;
+                    }
+                    let i = r as usize * bm.width + c as usize;
+                    if bm.bits[i] && !seen[i] {
+                        seen[i] = true;
+                        stack.push(i);
+                    }
+                };
+                push(row as isize - 1, col as isize);
+                push(row as isize + 1, col as isize);
+                push(row as isize, col as isize - 1);
+                push(row as isize, col as isize + 1);
+            }
+            components.push(comp);
+        }
+        components
+    }
+
     #[test]
     fn count_ones_counts() {
         let bm = bitmap_from_rows(&["#..", ".#.", "..#"]);
@@ -257,23 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn erode_shrinks_square() {
-        let bm = bitmap_from_rows(&["#####", "#####", "#####", "#####", "#####"]);
-        let e = bm.eroded(1);
-        assert_eq!(e.count_ones(), 9);
-        assert!(!e.at(0, 0));
-        assert!(e.at(2, 2));
-    }
-
-    #[test]
-    fn erode_then_dilate_is_opening() {
-        // A lone pixel disappears under opening.
-        let bm = bitmap_from_rows(&["...", ".#.", "..."]);
-        let opened = bm.eroded(1).dilated(1);
-        assert_eq!(opened.count_ones(), 0);
-    }
-
-    #[test]
     fn and_not_subtracts() {
         let a = bitmap_from_rows(&["##", "##"]);
         let b = bitmap_from_rows(&["#.", "#."]);
@@ -284,31 +333,38 @@ mod tests {
     fn components_separate_diagonals() {
         // 4-connectivity: a diagonal pair forms two components.
         let bm = bitmap_from_rows(&["#.", ".#"]);
-        assert_eq!(bm.components().len(), 2);
+        assert_eq!(bm.label_map().1, 2);
     }
 
     #[test]
     fn components_join_orthogonals() {
         let bm = bitmap_from_rows(&["##", "#."]);
-        let comps = bm.components();
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 3);
+        let (labels, count) = bm.label_map();
+        assert_eq!(count, 1);
+        assert_eq!(labels.iter().filter(|&&l| l == 0).count(), 3);
     }
 
     #[test]
-    fn zero_radius_morph_is_identity() {
+    fn label_map_numbers_components_by_first_pixel() {
+        // Row 0 is the bottom row: the right-hand column starts first.
+        let bm = bitmap_from_rows(&["#..", "#.#", "..#"]);
+        let (labels, count) = bm.label_map();
+        assert_eq!(count, 2);
+        assert_eq!(labels[2], 0);
+        assert_eq!(labels[3], 1);
+        assert_eq!(labels[0], Bitmap::BACKGROUND);
+    }
+
+    #[test]
+    fn zero_radius_dilation_is_identity() {
         let bm = bitmap_from_rows(&["#.#", ".#.", "#.#"]);
         assert_eq!(bm.dilated(0), bm);
-        assert_eq!(bm.eroded(0), bm);
     }
 
     proptest! {
         #[test]
         fn prop_dilation_is_monotone(bits in proptest::collection::vec(any::<bool>(), 49)) {
-            let mut bm = Bitmap::zeros(7, 7);
-            for (i, &b) in bits.iter().enumerate() {
-                bm.set(i / 7, i % 7, b);
-            }
+            let bm = bitmap_from_bits(&bits, 7, 7);
             let d = bm.dilated(1);
             // Dilation is extensive: every set pixel remains set.
             for i in 0..49 {
@@ -320,28 +376,36 @@ mod tests {
         }
 
         #[test]
-        fn prop_erosion_is_anti_extensive(bits in proptest::collection::vec(any::<bool>(), 49)) {
-            let mut bm = Bitmap::zeros(7, 7);
-            for (i, &b) in bits.iter().enumerate() {
-                bm.set(i / 7, i % 7, b);
-            }
-            let e = bm.eroded(1);
-            for i in 0..49 {
-                if e.bits()[i] {
-                    prop_assert!(bm.bits()[i]);
-                }
-            }
-            prop_assert!(e.count_ones() <= bm.count_ones());
+        fn prop_dilation_matches_reference(
+            (width, height) in (1usize..=12, 1usize..=12),
+            radius in 0usize..=6,
+            density in 0.0f64..=1.0,
+            draws in proptest::collection::vec(0.0f64..1.0, 144),
+        ) {
+            // A per-case density spans sparse specks to nearly full images.
+            let bits: Vec<bool> = draws.iter().map(|&u| u < density).collect();
+            let bm = bitmap_from_bits(&bits, width, height);
+            prop_assert_eq!(bm.dilated(radius), reference_dilated(&bm, radius));
         }
 
         #[test]
-        fn prop_components_partition_ones(bits in proptest::collection::vec(any::<bool>(), 36)) {
-            let mut bm = Bitmap::zeros(6, 6);
-            for (i, &b) in bits.iter().enumerate() {
-                bm.set(i / 6, i % 6, b);
+        fn prop_label_map_matches_reference_components(
+            (width, height) in (1usize..=16, 1usize..=16),
+            density in 0.0f64..=1.0,
+            draws in proptest::collection::vec(0.0f64..1.0, 256),
+        ) {
+            let bits: Vec<bool> = draws.iter().map(|&u| u < density).collect();
+            let bm = bitmap_from_bits(&bits, width, height);
+            let (labels, count) = bm.label_map();
+            let reference = reference_components(&bm);
+            prop_assert_eq!(count, reference.len());
+            for (id, comp) in reference.iter().enumerate() {
+                for &(r, c) in comp {
+                    prop_assert_eq!(labels[r * width + c], id as u32);
+                }
             }
-            let total: usize = bm.components().iter().map(|c| c.len()).sum();
-            prop_assert_eq!(total, bm.count_ones());
+            let labelled = labels.iter().filter(|&&l| l != Bitmap::BACKGROUND).count();
+            prop_assert_eq!(labelled, bm.count_ones());
         }
     }
 }

@@ -1,7 +1,6 @@
 use crate::{Bitmap, LithoConfig};
 use hotspot_geom::{Point, Raster, Rect};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The failure mode of a printed-contour defect.
@@ -79,16 +78,21 @@ fn find_pinches(
     out: &mut Vec<Defect>,
 ) {
     let unprinted = target.and_not(&printed.dilated(config.epe_tolerance_px));
-    for comp in unprinted.components() {
-        if comp.len() < config.min_defect_px {
+    let (labels, count) = unprinted.label_map();
+    let mut clusters = vec![Cluster::default(); count];
+    for_each_labelled(&labels, unprinted.width(), |label, row, col| {
+        clusters[label].add(row, col);
+    });
+    for cluster in &clusters {
+        if cluster.n < config.min_defect_px {
             continue;
         }
-        let location = centroid(&comp, mask);
+        let location = cluster.centroid(mask);
         if core.contains(location) {
             out.push(Defect {
                 kind: DefectKind::Pinch,
                 location,
-                size_px: comp.len(),
+                size_px: cluster.n,
             });
         }
     }
@@ -102,47 +106,77 @@ fn find_bridges(
     config: &LithoConfig,
     out: &mut Vec<Defect>,
 ) {
-    let width = target.width();
-    // Label map of design components: usize::MAX = background.
-    let mut design_label = vec![usize::MAX; target.bits().len()];
-    for (id, comp) in target.components().into_iter().enumerate() {
-        for &(r, c) in &comp {
-            design_label[r * width + c] = id;
+    let (design, _) = target.label_map();
+    let (labels, count) = printed.label_map();
+    // Per printed component: the bridging metal (printed pixels outside the
+    // design), the first design shape it touches, and whether it touches a
+    // second, different one.
+    let mut bridging = vec![Cluster::default(); count];
+    let mut first_touched = vec![Bitmap::BACKGROUND; count];
+    let mut merges = vec![false; count];
+    for_each_labelled(&labels, printed.width(), |label, row, col| {
+        let shape = design[row * printed.width() + col];
+        if shape == Bitmap::BACKGROUND {
+            bridging[label].add(row, col);
+        } else if first_touched[label] == Bitmap::BACKGROUND {
+            first_touched[label] = shape;
+        } else if first_touched[label] != shape {
+            merges[label] = true;
         }
-    }
-    for comp in printed.components() {
-        let mut touched = BTreeSet::new();
-        let mut bridging = Vec::new();
-        for &(r, c) in &comp {
-            let label = design_label[r * width + c];
-            if label == usize::MAX {
-                bridging.push((r, c));
-            } else {
-                touched.insert(label);
-            }
-        }
-        if touched.len() >= 2 && bridging.len() >= config.min_defect_px {
-            let location = centroid(&bridging, mask);
+    });
+    for (cluster, &merged) in bridging.iter().zip(&merges) {
+        if merged && cluster.n >= config.min_defect_px {
+            let location = cluster.centroid(mask);
             if core.contains(location) {
                 out.push(Defect {
                     kind: DefectKind::Bridge,
                     location,
-                    size_px: bridging.len(),
+                    size_px: cluster.n,
                 });
             }
         }
     }
 }
 
-fn centroid(pixels: &[(usize, usize)], mask: &Raster) -> Point {
-    let n = pixels.len() as i64;
-    let sum_r: i64 = pixels.iter().map(|&(r, _)| r as i64).sum();
-    let sum_c: i64 = pixels.iter().map(|&(_, c)| c as i64).sum();
-    let pitch = mask.pitch();
-    Point::new(
-        mask.region().x0() + (sum_c / n) * pitch + pitch / 2,
-        mask.region().y0() + (sum_r / n) * pitch + pitch / 2,
-    )
+/// Calls `f(label, row, col)` for every labelled pixel of a row-major
+/// [`Bitmap::label_map`], in row-major order.
+fn for_each_labelled(labels: &[u32], width: usize, mut f: impl FnMut(usize, usize, usize)) {
+    for (row, line) in labels.chunks_exact(width.max(1)).enumerate() {
+        for (col, &label) in line.iter().enumerate() {
+            if label != Bitmap::BACKGROUND {
+                f(label as usize, row, col);
+            }
+        }
+    }
+}
+
+/// Pixel count and integer coordinate sums of one pixel cluster — all its
+/// centroid needs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cluster {
+    n: usize,
+    sum_row: usize,
+    sum_col: usize,
+}
+
+impl Cluster {
+    fn add(&mut self, row: usize, col: usize) {
+        self.n += 1;
+        self.sum_row += row;
+        self.sum_col += col;
+    }
+
+    /// Centre of the pixel holding the (truncated) mean row and column, in
+    /// layout coordinates.
+    fn centroid(&self, mask: &Raster) -> Point {
+        let pitch = mask.pitch();
+        let mean_row = (self.sum_row / self.n) as i64;
+        let mean_col = (self.sum_col / self.n) as i64;
+        Point::new(
+            mask.region().x0() + mean_col * pitch + pitch / 2,
+            mask.region().y0() + mean_row * pitch + pitch / 2,
+        )
+    }
 }
 
 #[cfg(test)]

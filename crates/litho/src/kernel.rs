@@ -58,6 +58,12 @@ impl GaussianKernel {
     /// rows then columns, writing into `dst`. Borders are handled by edge
     /// clamping, which models the clip context continuing outside the window.
     ///
+    /// Both passes work on whole rows: each output row starts at `0.0` and
+    /// adds `tap × source` one tap at a time, so every pixel sums the same
+    /// products in the same order as a per-pixel loop would (the result is
+    /// bit-identical), while the inner loop runs over contiguous columns with
+    /// no clamping.
+    ///
     /// # Panics
     ///
     /// Panics when `src` and `dst` lengths disagree with `width * height`.
@@ -65,31 +71,33 @@ impl GaussianKernel {
         assert_eq!(src.len(), width * height, "src size mismatch");
         assert_eq!(dst.len(), width * height, "dst size mismatch");
         record_aerial_kernel(self.taps.len(), width, height);
-        let r = self.radius() as isize;
+        if width == 0 || height == 0 {
+            return;
+        }
+        let r = self.radius();
         let mut tmp = vec![0.0f32; src.len()];
-        // Horizontal pass.
-        for row in 0..height {
-            let base = row * width;
-            for col in 0..width {
-                let mut acc = 0.0f32;
-                for (ti, &t) in self.taps.iter().enumerate() {
-                    let offset = ti as isize - r;
-                    let c = (col as isize + offset).clamp(0, width as isize - 1) as usize;
-                    acc += t * src[base + c];
+        // Horizontal pass over an edge-clamped copy of each source row:
+        // `padded[col + ti]` is the source pixel tap `ti` reads for `col`.
+        let mut padded = vec![0.0f32; width + 2 * r];
+        for (src_row, tmp_row) in src.chunks_exact(width).zip(tmp.chunks_exact_mut(width)) {
+            for (j, p) in padded.iter_mut().enumerate() {
+                *p = src_row[j.saturating_sub(r).min(width - 1)];
+            }
+            for (ti, &t) in self.taps.iter().enumerate() {
+                for (acc, &v) in tmp_row.iter_mut().zip(&padded[ti..ti + width]) {
+                    *acc += t * v;
                 }
-                tmp[base + col] = acc;
             }
         }
-        // Vertical pass.
-        for col in 0..width {
-            for row in 0..height {
-                let mut acc = 0.0f32;
-                for (ti, &t) in self.taps.iter().enumerate() {
-                    let offset = ti as isize - r;
-                    let rr = (row as isize + offset).clamp(0, height as isize - 1) as usize;
-                    acc += t * tmp[rr * width + col];
+        // Vertical pass: tap `ti` of output row `row` reads the whole clamped
+        // row `row + ti - r` of the horizontal result.
+        for (row, dst_row) in dst.chunks_exact_mut(width).enumerate() {
+            dst_row.fill(0.0);
+            for (ti, &t) in self.taps.iter().enumerate() {
+                let rr = (row + ti).saturating_sub(r).min(height - 1);
+                for (acc, &v) in dst_row.iter_mut().zip(&tmp[rr * width..(rr + 1) * width]) {
+                    *acc += t * v;
                 }
-                dst[row * width + col] = acc;
             }
         }
     }
@@ -112,6 +120,51 @@ fn record_aerial_kernel(taps: usize, width: usize, height: usize) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The per-pixel loop `convolve_2d` replaced, kept as the reference its
+    /// output must match bit for bit.
+    fn reference_convolve_2d(
+        kernel: &GaussianKernel,
+        src: &[f32],
+        dst: &mut [f32],
+        width: usize,
+        height: usize,
+    ) {
+        let r = kernel.radius() as isize;
+        let mut tmp = vec![0.0f32; src.len()];
+        for row in 0..height {
+            let base = row * width;
+            for col in 0..width {
+                let mut acc = 0.0f32;
+                for (ti, &t) in kernel.taps().iter().enumerate() {
+                    let offset = ti as isize - r;
+                    let c = (col as isize + offset).clamp(0, width as isize - 1) as usize;
+                    acc += t * src[base + c];
+                }
+                tmp[base + col] = acc;
+            }
+        }
+        for col in 0..width {
+            for row in 0..height {
+                let mut acc = 0.0f32;
+                for (ti, &t) in kernel.taps().iter().enumerate() {
+                    let offset = ti as isize - r;
+                    let rr = (row as isize + offset).clamp(0, height as isize - 1) as usize;
+                    acc += t * tmp[rr * width + col];
+                }
+                dst[row * width + col] = acc;
+            }
+        }
+    }
+
+    #[test]
+    fn empty_image_is_a_no_op() {
+        let k = GaussianKernel::new(1.0);
+        let mut dst: Vec<f32> = Vec::new();
+        k.convolve_2d(&[], &mut dst, 0, 5);
+        k.convolve_2d(&[], &mut dst, 5, 0);
+        assert!(dst.is_empty());
+    }
 
     #[test]
     fn taps_are_normalized_and_symmetric() {
@@ -168,6 +221,27 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_convolution_matches_reference_bits(
+            (width, height) in (1usize..=40, 1usize..=40),
+            sigma in 0.5f64..=4.0,
+            values in proptest::collection::vec(-1.0f32..2.0, 1600),
+        ) {
+            // σ up to 4 px gives a 12 px radius, wider than the small images.
+            let k = GaussianKernel::new(sigma);
+            let src = &values[..width * height];
+            let mut fast = vec![f32::NAN; width * height];
+            let mut slow = vec![f32::NAN; width * height];
+            k.convolve_2d(src, &mut fast, width, height);
+            reference_convolve_2d(&k, src, &mut slow, width, height);
+            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "{width}x{height} sigma {sigma}: pixel {i} is {a} vs reference {b}"
+                );
+            }
+        }
+
         #[test]
         fn prop_convolution_preserves_bounds(values in proptest::collection::vec(0.0f32..1.0, 64)) {
             let k = GaussianKernel::new(1.2);
