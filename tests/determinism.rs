@@ -2,7 +2,9 @@
 //! reproducible from its seeds, which is what makes the experiment harness's
 //! numbers citable.
 
-use lithohd::active::{EntropySelector, SamplingConfig, SamplingFramework};
+use lithohd::active::{
+    standardized_dct, EntropySelector, HotspotModel, SamplingConfig, SamplingFramework,
+};
 use lithohd::gmm::{GaussianMixture, GmmConfig};
 use lithohd::layout::{BenchmarkSpec, ClipFamily, ClipRecipe, GeneratedBenchmark, Tech};
 
@@ -109,6 +111,55 @@ fn generation_matches_pinned_digest() {
             "{tech:?} generation digest {digest:#018x} differs from the pinned value"
         );
     }
+}
+
+fn f32_bits(h: &mut Fnv1a, values: &[f32]) {
+    h.u64(values.len() as u64);
+    for &v in values {
+        h.bytes(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Pins classifier training to a digest taken before the optimiser code was
+/// reduced to plain Adam: the logits and embeddings `predict` returns, every
+/// weight buffer, and Adam's step count and moments, after an initial fit
+/// and an incremental update (Algorithm 2's two kinds of training call).
+#[test]
+fn training_matches_pinned_digest() {
+    let bench = GeneratedBenchmark::generate(&spec(), 31).expect("generation succeeds");
+    let (x, _, _) = standardized_dct(&bench);
+    let labels: Vec<usize> = bench
+        .labels()
+        .iter()
+        .map(|l| usize::from(l.is_hotspot()))
+        .collect();
+    let mut model = HotspotModel::new(x.cols(), 11, 1.0, 1e-3, 32);
+    model.train(&x, &labels, 12, 5).expect("training succeeds");
+    model.train(&x, &labels, 4, 6).expect("training succeeds");
+
+    let mut h = Fnv1a::new();
+    let (logits, embeddings) = model.predict(&x);
+    f32_bits(&mut h, logits.as_slice());
+    f32_bits(&mut h, embeddings.as_slice());
+    let state = model.state();
+    for (kind, buffers) in state.snapshot.layer_parts() {
+        h.bytes(kind.as_bytes());
+        for buffer in buffers {
+            f32_bits(&mut h, buffer);
+        }
+    }
+    h.u64(state.optimizer.step);
+    for (slot, m, v) in &state.optimizer.moments {
+        h.u64(*slot as u64);
+        f32_bits(&mut h, m);
+        f32_bits(&mut h, v);
+    }
+    let expected = 0x46d6_ddde_8327_6213u64;
+    assert_eq!(
+        h.0, expected,
+        "training digest {:#018x} differs from the pinned value",
+        h.0
+    );
 }
 
 #[test]
