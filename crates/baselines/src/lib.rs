@@ -11,9 +11,6 @@
 //!   the Table II columns `PM-exact`, `PM-a95`, `PM-a90`, `PM-e2`.
 //! * **TS** — calibrated-uncertainty-only batch sampling;
 //!   re-exported from `hotspot-active` ([`UncertaintySelector`]).
-//! * **BADGE** ([`BadgeSelector`]) — the gradient-embedding k-means++
-//!   sampler of Ash et al. \[13\], the general-purpose method the paper cites
-//!   as the closest prior art; provided as an extension baseline.
 //! * **QP** ([`QpSelector`]) — the batch selector of Yang et al. \[14\]:
 //!   uncertainty is raw (uncalibrated) BvSB, diversity enters through a
 //!   relaxed quadratic program over the capped simplex, solved by projected
@@ -38,12 +35,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod badge;
 mod method;
 mod pattern;
 mod qp_selector;
 
-pub use badge::BadgeSelector;
 pub use hotspot_active::{RandomSelector, UncertaintySelector};
 pub use method::ActiveMethod;
 pub use pattern::{PatternMatchOutcome, PatternMatcher};

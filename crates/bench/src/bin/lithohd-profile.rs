@@ -1,6 +1,6 @@
 //! `lithohd-profile` — deterministic microbench over the hot kernels.
 //!
-//! Times conv2d forward, 8×8 block DCT, GMM EM, diversity scoring,
+//! Times 8×8 block DCT, GMM EM, diversity scoring,
 //! aerial-image convolution, one full clip label (aerial image, resist and
 //! both defect checks), hotspot-model inference and training (the
 //! Dense matmuls behind `/score` and `nn.train`), and the QP diversity
@@ -26,7 +26,7 @@ use hotspot_features::Dct2d;
 use hotspot_geom::{ClipWindow, Raster, Rect};
 use hotspot_gmm::{GaussianMixture, GmmConfig};
 use hotspot_litho::{DefectKind, GaussianKernel, LithoConfig, LithoSimulator};
-use hotspot_nn::{Conv2d, InitRng, Layer, Matrix};
+use hotspot_nn::Matrix;
 use hotspot_qp::QpSolver;
 
 const USAGE: &str = "usage: lithohd-profile [--out <path>] [--samples <n>] [--warmup <n>]\n\
@@ -101,7 +101,6 @@ fn run(args: &[String]) -> Result<(), String> {
 /// Runs every kernel workload under the same sampling policy.
 fn profile_all(samples: usize, warmup: usize) -> Vec<KernelSample> {
     vec![
-        bench_conv2d(samples, warmup),
         bench_dct(samples, warmup),
         bench_gmm_em(samples, warmup),
         bench_diversity(samples, warmup),
@@ -155,17 +154,6 @@ fn det_matrix(rows: usize, cols: usize) -> Matrix {
         .map(|r| (0..cols).map(|c| det(r * cols + c)).collect())
         .collect();
     Matrix::from_rows(&data).expect("deterministic matrix rows are rectangular")
-}
-
-/// Conv2d forward pass: 4→8 channels, 3×3 kernel, 16×16 maps, batch of 8.
-fn bench_conv2d(samples: usize, warmup: usize) -> KernelSample {
-    let mut rng = InitRng::seeded(7, 0.1);
-    let conv = Conv2d::new(4, 8, 3, 16, 16, &mut rng);
-    let input = det_matrix(8, 4 * 16 * 16);
-    measure("conv2d", samples, warmup, 8, || {
-        let out = conv.infer(&input);
-        out.row(0)[0]
-    })
 }
 
 /// Forward 8×8 block DCT, the feature-extraction inner loop.
@@ -263,7 +251,7 @@ fn bench_dense_train(samples: usize, warmup: usize) -> KernelSample {
     })
 }
 
-/// The QP diversity baseline of [14] on the `diversity` row's 96×16
+/// The QP diversity baseline of \[14\] on the `diversity` row's 96×16
 /// embeddings: build the similarity problem and run the projected-gradient
 /// solve for a batch of 25, so Fig. 3(b) reads as two adjacent rows.
 fn bench_qp_diversity(samples: usize, warmup: usize) -> KernelSample {

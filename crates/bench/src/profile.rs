@@ -1,8 +1,8 @@
 //! Per-kernel microbenchmark samples and their wall-clock regression gate.
 //!
-//! The `lithohd-profile` binary times the hot kernels (conv2d, block DCT,
-//! GMM EM, diversity, aerial convolution, hotspot-model inference and
-//! training, and the QP diversity baseline) with a fixed warmup and a
+//! The `lithohd-profile` binary times the hot kernels (block DCT, GMM EM,
+//! diversity, aerial convolution, one clip label, hotspot-model inference
+//! and training, and the QP diversity baseline) with a fixed warmup and a
 //! median over repeated batched samples, then writes the measurements as a
 //! JSON array of [`KernelSample`]s. A committed copy
 //! (`BENCH_kernels.json`) is the baseline that `lithohd-report gate
@@ -27,7 +27,7 @@ use std::path::Path;
 /// what lets a CI gate use these numbers at all.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelSample {
-    /// Kernel label: `conv2d`, `dct`, `gmm_em`, `diversity`, `aerial`,
+    /// Kernel label: `dct`, `gmm_em`, `diversity`, `aerial`, `label`,
     /// `dense_infer`, `dense_train`, or `qp_diversity`.
     pub kernel: String,
     /// Median per-iteration wall time in nanoseconds.
@@ -164,9 +164,9 @@ mod tests {
 
     #[test]
     fn gate_passes_within_the_factor_and_fails_beyond_it() {
-        let baseline = vec![sample("dct", 1000), sample("conv2d", 4000)];
+        let baseline = vec![sample("dct", 1000), sample("aerial", 4000)];
         let ok = evaluate_kernel_gate(
-            &[sample("dct", 2900), sample("conv2d", 4000)],
+            &[sample("dct", 2900), sample("aerial", 4000)],
             &baseline,
             3.0,
         );
@@ -175,7 +175,7 @@ mod tests {
         assert!(ok.checks.iter().all(|c| c.metric == "kernel_ns"));
 
         let slow = evaluate_kernel_gate(
-            &[sample("dct", 3001), sample("conv2d", 4000)],
+            &[sample("dct", 3001), sample("aerial", 4000)],
             &baseline,
             3.0,
         );

@@ -31,7 +31,6 @@ pub struct HotspotModel {
     net: Sequential,
     input_dim: usize,
     embedding_dim: usize,
-    learning_rate: f64,
     train_batch: usize,
     optimizer: Adam,
     steps_trained: usize,
@@ -95,7 +94,6 @@ impl HotspotModel {
             net,
             input_dim,
             embedding_dim: previous,
-            learning_rate,
             train_batch,
             optimizer: Adam::new(learning_rate),
             steps_trained: 0,
@@ -155,7 +153,6 @@ impl HotspotModel {
         });
         let report = trainer.fit(&mut self.net, x, labels, &loss, &mut self.optimizer)?;
         self.steps_trained += 1;
-        let _ = self.learning_rate;
         Ok(report)
     }
 

@@ -112,6 +112,33 @@ mod tests {
     }
 
     #[test]
+    fn eq6_matches_closed_form_at_and_around_h() {
+        // Closed form of Eq. 6 in f64 with p₀ = 1 − p₁: u = 1 − p₁ + h when
+        // p₁ > h, else u = p₁. Checked at h itself (lower branch), one ulp
+        // on each side and a visible step on each side.
+        for h in [0.05f32, 0.25, 0.4, 0.5, 0.75, 0.95] {
+            let ulp_below = f32::from_bits(h.to_bits() - 1);
+            let ulp_above = f32::from_bits(h.to_bits() + 1);
+            for p1 in [h - 0.01, ulp_below, h, ulp_above, h + 0.01] {
+                let closed = if f64::from(p1) > f64::from(h) {
+                    1.0 - f64::from(p1) + f64::from(h)
+                } else {
+                    f64::from(p1)
+                };
+                let u = uncertainty_scores(&[1.0 - p1, p1], h)[0];
+                assert!(
+                    (f64::from(u) - closed).abs() < 1e-6,
+                    "h={h} p1={p1}: u={u}, closed form {closed}"
+                );
+            }
+            // The score jumps at the boundary: from h at p₁ = h to its
+            // maximum, 1, just above it.
+            assert!((uncertainty_scores(&[1.0 - ulp_above, ulp_above], h)[0] - 1.0).abs() < 1e-6);
+            assert_eq!(uncertainty_scores(&[1.0 - h, h], h)[0], h);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "two-class")]
     fn odd_length_panics() {
         let _ = uncertainty_scores(&[0.5, 0.5, 0.1], 0.4);

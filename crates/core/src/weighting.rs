@@ -132,7 +132,66 @@ mod tests {
         assert_eq!(entropy_weights(&[], &[]), (0.5, 0.5));
     }
 
+    /// Eq. 10–13 written out independently in f64: min–max normalise,
+    /// `q = v / Σv`, `E = −Σ q ln q / ln n` (a constant index has E = 1),
+    /// `ω = (1 − E) / (2 − E₁ − E₂)`, with equal weights for `n < 2` or when
+    /// both indices are constant.
+    fn reference_weights(uncertainty: &[f32], diversity: &[f32]) -> (f64, f64) {
+        let n = uncertainty.len();
+        if n < 2 {
+            return (0.5, 0.5);
+        }
+        let entropy = |scores: &[f32]| -> f64 {
+            let x: Vec<f64> = scores.iter().map(|&v| f64::from(v)).collect();
+            let lo = x.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            if hi <= lo {
+                return 1.0;
+            }
+            let v: Vec<f64> = x.iter().map(|&x| (x - lo) / (hi - lo)).collect();
+            let sum: f64 = v.iter().sum();
+            let plogp: f64 = v
+                .iter()
+                .filter(|&&v| v > 0.0)
+                .map(|&v| (v / sum) * (v / sum).ln())
+                .sum();
+            -plogp / (n as f64).ln()
+        };
+        let (e1, e2) = (entropy(uncertainty), entropy(diversity));
+        if e1 >= 1.0 && e2 >= 1.0 {
+            return (0.5, 0.5);
+        }
+        ((1.0 - e1) / (2.0 - e1 - e2), (1.0 - e2) / (2.0 - e1 - e2))
+    }
+
     proptest! {
+        #[test]
+        fn prop_weights_match_f64_reference(
+            pairs in proptest::collection::vec((-5.0f32..5.0, -5.0f32..5.0), 0..40),
+            flat in 0u8..4,
+        ) {
+            // `flat` makes neither, the first, the second or both indices
+            // constant, so the E = 1 and equal-weight fallbacks are drawn
+            // as often as the general case.
+            let mut u: Vec<f32> = pairs.iter().map(|p| p.0).collect();
+            let mut d: Vec<f32> = pairs.iter().map(|p| p.1).collect();
+            if flat & 1 == 1 {
+                u.iter_mut().for_each(|v| *v = 0.25);
+            }
+            if flat & 2 == 2 {
+                d.iter_mut().for_each(|v| *v = -1.5);
+            }
+            let (w1, w2) = entropy_weights(&u, &d);
+            let (r1, r2) = reference_weights(&u, &d);
+            // The implementation normalises in f32; its relative rounding
+            // (~1e-7) reaches the weights amplified by 1 / (2 − E₁ − E₂).
+            prop_assert!(
+                (w1 - r1).abs() < 1e-5 && (w2 - r2).abs() < 1e-5,
+                "n={} flat={flat}: ({w1}, {w2}) vs reference ({r1}, {r2})",
+                u.len()
+            );
+        }
+
         #[test]
         fn prop_weights_valid(
             u in proptest::collection::vec(0.0f32..1.0, 2..30),

@@ -34,7 +34,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod ccas;
 mod dct;
 mod error;
 mod extract;
@@ -42,7 +41,6 @@ mod matrix;
 mod runlength;
 mod zigzag;
 
-pub use ccas::ccas_features;
 pub use dct::Dct2d;
 pub use error::FeatureError;
 pub use extract::FeatureExtractor;

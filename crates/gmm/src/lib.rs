@@ -34,9 +34,7 @@
 mod error;
 mod kmeans;
 mod model;
-mod selection;
 
 pub use error::GmmError;
 pub use kmeans::kmeans_plus_plus;
 pub use model::{GaussianMixture, GmmConfig};
-pub use selection::{bic, select_components, BicSweep};

@@ -48,11 +48,9 @@ mod aerial;
 mod bitmap;
 mod config;
 mod defect;
-mod epe;
 mod fault;
 mod kernel;
 mod oracle;
-mod process;
 mod report;
 mod resist;
 mod retry;
@@ -61,14 +59,12 @@ pub use aerial::AerialImage;
 pub use bitmap::Bitmap;
 pub use config::LithoConfig;
 pub use defect::{Defect, DefectKind};
-pub use epe::{epe_stats, EpeStats};
 pub use fault::{FaultInjectionStats, FaultRates, FaultyOracle};
 pub use kernel::GaussianKernel;
 pub use oracle::{
     CountingOracle, FaultMeterState, LithoOracle, OracleError, OracleStateSnapshot, OracleStats,
     RetryMeterState,
 };
-pub use process::{analyze_process_window, ProcessCorner, ProcessWindowReport};
 pub use report::{Label, LithoReport};
 pub use resist::ResistModel;
 pub use retry::{Clock, RetryOracle, RetryPolicy, SystemClock, VirtualClock};

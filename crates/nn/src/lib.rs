@@ -1,11 +1,11 @@
 //! A minimal, dependency-free neural-network library for hotspot detection.
 //!
-//! The DAC 2021 paper trains a small TensorFlow CNN; the Rust deep-learning
-//! ecosystem is thin, so this crate implements the required substrate from
-//! scratch: dense and convolutional layers, ReLU, softmax cross-entropy with
-//! class weighting (hotspot datasets are heavily imbalanced), SGD and Adam
-//! optimisers, seedable Gaussian initialisation (`w ~ N(0, σ)` as in
-//! Algorithm 2 of the paper), and a mini-batch trainer.
+//! The DAC 2021 paper trains a small TensorFlow CNN; this workspace
+//! substitutes a DCT-feature MLP for it (see DESIGN.md), so this crate
+//! implements exactly that substrate from scratch: dense layers, ReLU,
+//! softmax cross-entropy with class weighting (hotspot datasets are heavily
+//! imbalanced), the Adam optimiser, seedable Gaussian initialisation
+//! (`w ~ N(0, σ)` as in Algorithm 2 of the paper), and a mini-batch trainer.
 //!
 //! The design centres on [`Matrix`] (a batch of row vectors) flowing through
 //! a [`Sequential`] stack of [`Layer`]s. Two forward paths exist:
@@ -49,9 +49,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod conv;
 mod dense;
-mod dropout;
 mod error;
 mod init;
 mod layer;
@@ -63,16 +61,14 @@ mod relu;
 mod serialize;
 mod trainer;
 
-pub use conv::{Conv2d, MaxPool2d};
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use init::InitRng;
 pub use layer::Layer;
 pub use loss::SoftmaxCrossEntropy;
 pub use matrix::Matrix;
 pub use network::Sequential;
-pub use optim::{Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use relu::Relu;
 pub use serialize::NetworkSnapshot;
 pub use trainer::{TrainConfig, TrainReport, Trainer};

@@ -2,10 +2,8 @@ use crate::NnError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A dense row-major `f32` matrix; rows are batch samples.
-///
-/// This is the single tensor type of the library — convolutional layers
-/// interpret columns as flattened `channels × height × width` volumes.
+/// A dense row-major `f32` matrix; rows are batch samples. This is the
+/// single tensor type of the library.
 ///
 /// ```
 /// use hotspot_nn::Matrix;

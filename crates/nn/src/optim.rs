@@ -1,105 +1,16 @@
 use std::collections::BTreeMap;
 
-/// A first-order optimiser updating parameter buffers from gradients.
+/// Adam optimiser (Kingma & Ba 2015) with bias correction.
 ///
-/// Networks call [`Optimizer::update`] once per parameter buffer per step,
-/// identified by a stable `slot` index so stateful optimisers (momentum,
-/// Adam moments) can keep per-buffer state. Gradients are zeroed by the
-/// caller after the step.
-pub trait Optimizer: std::fmt::Debug {
-    /// Marks the beginning of an optimisation step (e.g. advances Adam's
-    /// bias-correction clock).
-    fn begin_step(&mut self);
-
-    /// Applies one update to the parameter buffer `weights` in place.
-    fn update(&mut self, slot: usize, weights: &mut [f32], grads: &[f32]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Replaces the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: BTreeMap<usize, Vec<f32>>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lr` is not finite and positive.
-    pub fn new(lr: f64) -> Self {
-        Sgd::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive learning rate or momentum outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: BTreeMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self) {}
-
-    fn update(&mut self, slot: usize, weights: &mut [f32], grads: &[f32]) {
-        assert_eq!(weights.len(), grads.len(), "weight/grad length mismatch");
-        if self.momentum <= 0.0 {
-            for (w, &g) in weights.iter_mut().zip(grads) {
-                *w -= (self.lr as f32) * g;
-            }
-            return;
-        }
-        let velocity = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; weights.len()]);
-        assert_eq!(
-            velocity.len(),
-            weights.len(),
-            "slot reused with a different size"
-        );
-        for ((w, v), &g) in weights.iter_mut().zip(velocity.iter_mut()).zip(grads) {
-            *v = (self.momentum as f32) * *v + g;
-            *w -= (self.lr as f32) * *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
-/// Adam optimiser (Kingma & Ba 2015) with bias correction and optional
-/// decoupled weight decay (AdamW; Loshchilov & Hutter 2019).
+/// Networks call [`Adam::update`] once per parameter buffer per step,
+/// identified by a stable `slot` index under which the buffer's moments are
+/// kept. Gradients are zeroed by the caller after the step.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
     beta1: f64,
     beta2: f64,
     epsilon: f64,
-    weight_decay: f64,
     step: u64,
     moments: BTreeMap<usize, (Vec<f32>, Vec<f32>)>,
 }
@@ -117,32 +28,40 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             epsilon: 1e-8,
-            weight_decay: 0.0,
             step: 0,
             moments: BTreeMap::new(),
         }
     }
 
-    /// Adam with decoupled weight decay: each step additionally shrinks
-    /// weights by `lr × decay` — the regulariser that tames over-fitting
-    /// when the labelled set is a few dozen clips.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lr` is not positive or `decay` is negative.
-    pub fn with_weight_decay(lr: f64, decay: f64) -> Self {
-        assert!(
-            decay.is_finite() && decay >= 0.0,
-            "weight decay must be non-negative"
-        );
-        let mut adam = Adam::new(lr);
-        adam.weight_decay = decay;
-        adam
+    /// Marks the beginning of an optimisation step: advances the
+    /// bias-correction clock.
+    pub fn begin_step(&mut self) {
+        self.step += 1;
     }
 
-    /// The decoupled weight-decay coefficient.
-    pub fn weight_decay(&self) -> f64 {
-        self.weight_decay
+    /// Applies one update to the parameter buffer `weights` in place.
+    pub fn update(&mut self, slot: usize, weights: &mut [f32], grads: &[f32]) {
+        assert_eq!(weights.len(), grads.len(), "weight/grad length mismatch");
+        let t = self.step.max(1);
+        let (m, v) = self
+            .moments
+            .entry(slot)
+            .or_insert_with(|| (vec![0.0; weights.len()], vec![0.0; weights.len()]));
+        assert_eq!(m.len(), weights.len(), "slot reused with a different size");
+        let bc1 = 1.0 - self.beta1.powi(t as i32);
+        let bc2 = 1.0 - self.beta2.powi(t as i32);
+        for i in 0..weights.len() {
+            let g = grads[i] as f64;
+            let mi = self.beta1 * m[i] as f64 + (1.0 - self.beta1) * g;
+            let vi = self.beta2 * v[i] as f64 + (1.0 - self.beta2) * g * g;
+            m[i] = mi as f32;
+            v[i] = vi as f32;
+            let m_hat = mi / bc1;
+            let v_hat = vi / bc2;
+            let mut w = weights[i] as f64;
+            w -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
+            weights[i] = w as f32;
+        }
     }
 
     /// Captures the mutable optimiser state (bias-correction clock and
@@ -181,53 +100,11 @@ pub struct AdamState {
     pub moments: Vec<(usize, Vec<f32>, Vec<f32>)>,
 }
 
-impl Optimizer for Adam {
-    fn begin_step(&mut self) {
-        self.step += 1;
-    }
-
-    fn update(&mut self, slot: usize, weights: &mut [f32], grads: &[f32]) {
-        assert_eq!(weights.len(), grads.len(), "weight/grad length mismatch");
-        let t = self.step.max(1);
-        let (m, v) = self
-            .moments
-            .entry(slot)
-            .or_insert_with(|| (vec![0.0; weights.len()], vec![0.0; weights.len()]));
-        assert_eq!(m.len(), weights.len(), "slot reused with a different size");
-        let bc1 = 1.0 - self.beta1.powi(t as i32);
-        let bc2 = 1.0 - self.beta2.powi(t as i32);
-        for i in 0..weights.len() {
-            let g = grads[i] as f64;
-            let mi = self.beta1 * m[i] as f64 + (1.0 - self.beta1) * g;
-            let vi = self.beta2 * v[i] as f64 + (1.0 - self.beta2) * g * g;
-            m[i] = mi as f32;
-            v[i] = vi as f32;
-            let m_hat = mi / bc1;
-            let v_hat = vi / bc2;
-            let mut w = weights[i] as f64;
-            w -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
-            if self.weight_decay > 0.0 {
-                w -= self.lr * self.weight_decay * weights[i] as f64;
-            }
-            weights[i] = w as f32;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quadratic_descent(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn quadratic_descent(opt: &mut Adam, steps: usize) -> f32 {
         // Minimise f(w) = (w - 3)², gradient 2(w - 3).
         let mut w = [0.0f32];
         for _ in 0..steps {
@@ -236,22 +113,6 @@ mod tests {
             opt.update(0, &mut w, &g);
         }
         w[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = quadratic_descent(&mut opt, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let mut plain = Sgd::new(0.01);
-        let mut momentum = Sgd::with_momentum(0.01, 0.9);
-        let w_plain = quadratic_descent(&mut plain, 30);
-        let w_momentum = quadratic_descent(&mut momentum, 30);
-        assert!((w_momentum - 3.0).abs() < (w_plain - 3.0).abs());
     }
 
     #[test]
@@ -284,39 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_idle_weights() {
-        // With zero gradient, decoupled decay still pulls weights to zero.
-        let mut opt = Adam::with_weight_decay(0.1, 0.5);
-        let mut w = [4.0f32];
-        for _ in 0..100 {
-            opt.begin_step();
-            opt.update(0, &mut w, &[0.0]);
-        }
-        assert!(w[0].abs() < 0.1, "w = {}", w[0]);
-    }
-
-    #[test]
-    fn zero_decay_matches_plain_adam() {
-        let mut plain = Adam::new(0.1);
-        let mut decayed = Adam::with_weight_decay(0.1, 0.0);
-        let mut a = [1.0f32];
-        let mut b = [1.0f32];
-        for _ in 0..20 {
-            plain.begin_step();
-            decayed.begin_step();
-            plain.update(0, &mut a, &[0.3]);
-            decayed.update(0, &mut b, &[0.3]);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn rejects_negative_decay() {
-        let _ = Adam::with_weight_decay(0.1, -1.0);
-    }
-
-    #[test]
     fn adam_state_round_trip_resumes_identically() {
         // Train two optimisers in lock-step, capture/restore one mid-way,
         // and check the trajectories stay identical afterwards.
@@ -341,14 +169,6 @@ mod tests {
             restored.update(0, &mut w_restored, &g_res);
         }
         assert_eq!(w_ref, w_restored);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Sgd::new(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
-        opt.set_learning_rate(0.25);
-        assert_eq!(opt.learning_rate(), 0.25);
     }
 
     #[test]

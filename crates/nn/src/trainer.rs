@@ -1,4 +1,4 @@
-use crate::{Matrix, NnError, Optimizer, Sequential, SoftmaxCrossEntropy};
+use crate::{Adam, Matrix, NnError, Sequential, SoftmaxCrossEntropy};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -104,7 +104,7 @@ impl Trainer {
         x: &Matrix,
         labels: &[usize],
         loss: &SoftmaxCrossEntropy,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
     ) -> Result<TrainReport, NnError> {
         if x.rows() == 0 {
             return Err(NnError::EmptyBatch);
@@ -167,7 +167,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Adam, Dense, InitRng, Relu};
+    use crate::{Dense, InitRng, Relu};
 
     fn net(seed: u64) -> Sequential {
         let mut rng = InitRng::seeded(seed, 0.5);

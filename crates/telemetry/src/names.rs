@@ -119,23 +119,9 @@ pub const SHARD_BATCH_SECONDS: &str = "shard.batch.seconds";
 /// so this span reaches traces but not journals).
 pub const SPAN_SHARD_WORKER: &str = "shard.worker";
 
-/// Invocations of the conv2d forward kernel (`hotspot-nn`), the inner MAC
-/// nest of ROADMAP item 1. Like every `kernel.*` counter it is withheld
-/// from canonical journals: call counts vary with sharding and recovery.
-pub const KERNEL_CONV2D_CALLS: &str = "kernel.conv2d.calls";
-
-/// Output elements produced by the conv2d forward kernel.
-pub const KERNEL_CONV2D_ELEMENTS: &str = "kernel.conv2d.elements";
-
-/// Floating-point operations (multiply + add counted separately) executed
-/// by the conv2d forward kernel.
-pub const KERNEL_CONV2D_FLOPS: &str = "kernel.conv2d.flops";
-
-/// Bytes of input, weight, and output traffic through the conv2d kernel.
-pub const KERNEL_CONV2D_BYTES: &str = "kernel.conv2d.bytes";
-
 /// Invocations of the block-DCT kernel (`hotspot-features`), one per
-/// transformed block.
+/// transformed block. Like every `kernel.*` counter it is withheld from
+/// canonical journals: call counts vary with sharding and recovery.
 pub const KERNEL_DCT_CALLS: &str = "kernel.dct.calls";
 
 /// Coefficients produced by the block-DCT kernel (n² per block).
@@ -314,10 +300,6 @@ pub const ALL: &[&str] = &[
     SHARD_CLIPS_REASSIGNED,
     SHARD_BATCH_SECONDS,
     SPAN_SHARD_WORKER,
-    KERNEL_CONV2D_CALLS,
-    KERNEL_CONV2D_ELEMENTS,
-    KERNEL_CONV2D_FLOPS,
-    KERNEL_CONV2D_BYTES,
     KERNEL_DCT_CALLS,
     KERNEL_DCT_ELEMENTS,
     KERNEL_DCT_FLOPS,

@@ -588,7 +588,7 @@ mod tests {
         let mut snapshot = MetricsSnapshot::default();
         snapshot
             .counters
-            .push(("kernel.conv2d.flops".to_string(), 123));
+            .push(("kernel.dct.flops".to_string(), 123));
         snapshot
             .counters
             .push(("litho.oracle.calls".to_string(), 9));

@@ -10,7 +10,7 @@ use lithohd::active::{
     BatchSelector, EntropySelector, RandomSelector, SamplingConfig, SamplingFramework,
     UncertaintySelector,
 };
-use lithohd::baselines::{BadgeSelector, QpSelector};
+use lithohd::baselines::QpSelector;
 use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Ours (entropy)", Box::new(EntropySelector::new())),
         ("TS", Box::new(UncertaintySelector::new())),
         ("QP [14]", Box::new(QpSelector::new())),
-        ("BADGE [13]", Box::new(BadgeSelector::new())),
         ("Random", Box::new(RandomSelector::new())),
     ];
 
@@ -33,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "method", "Acc(%)", "Litho#", "hits", "FA", "PSHD (s)"
     );
     for (name, mut selector) in selectors {
-        // Average over three seeds; CNN-style models are initialisation-
+        // Average over three seeds; the classifier is initialisation-
         // sensitive, which is exactly the stability point of the paper's
         // Fig. 4 study.
         let (mut acc, mut litho, mut hits, mut fa, mut secs) = (0.0, 0.0, 0.0, 0.0, 0.0);

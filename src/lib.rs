@@ -10,7 +10,7 @@
 //! * [`layout`] — synthetic ICCAD12/16-like benchmark generation,
 //! * [`litho`] — aerial-image lithography simulation and the metered oracle,
 //! * [`features`] — block-DCT and density feature extraction,
-//! * [`nn`] — the minimal neural-network library (dense/conv/Adam),
+//! * [`nn`] — the minimal neural-network library (dense/ReLU/Adam),
 //! * [`gmm`] — Gaussian mixture models for the posterior-driven query pool,
 //! * [`qp`] — the quadratic-program solver behind the QP baseline,
 //! * [`calibration`] — temperature scaling, ECE, reliability diagrams,
