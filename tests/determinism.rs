@@ -8,6 +8,8 @@ use lithohd::active::{
 use lithohd::gmm::{GaussianMixture, GmmConfig};
 use lithohd::layout::{BenchmarkSpec, ClipFamily, ClipRecipe, GeneratedBenchmark, Tech};
 
+use hotspot_serve::Scorer;
+
 fn spec() -> BenchmarkSpec {
     spec_for(Tech::Duv28)
 }
@@ -158,6 +160,35 @@ fn training_matches_pinned_digest() {
     assert_eq!(
         h.0, expected,
         "training digest {:#018x} differs from the pinned value",
+        h.0
+    );
+}
+
+/// Pins serving to a digest taken before the training and serving
+/// standardisation paths were merged: every field of the `ClipScore` that
+/// `score_rows` returns for each raw DCT row of the benchmark.
+#[test]
+fn scoring_matches_pinned_digest() {
+    let bench = GeneratedBenchmark::generate(&spec(), 31).expect("generation succeeds");
+    let scorer = Scorer::from_benchmark(&bench, 31, 2).expect("scorer trains");
+    let features = bench.dct_features();
+    let rows: Vec<Vec<f32>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    let scores = scorer.score_rows(&rows).expect("rows score");
+
+    let mut h = Fnv1a::new();
+    h.u64(scores.len() as u64);
+    for score in &scores {
+        f32_bits(&mut h, &[score.probability]);
+        f32_bits(&mut h, &score.logits);
+        f32_bits(&mut h, &score.scaled_logits);
+        f32_bits(&mut h, &[score.bvsb, score.uncertainty]);
+    }
+    let expected = 0x8e76_c4dd_e651_1ea2u64;
+    assert_eq!(
+        h.0, expected,
+        "scoring digest {:#018x} differs from the pinned value",
         h.0
     );
 }
