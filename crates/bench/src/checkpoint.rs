@@ -205,8 +205,7 @@ impl CheckpointedSequence {
         // from this process's partial re-setup work (the benchmark was
         // regenerated before this call; the original generation is already
         // accounted inside the restored state).
-        telemetry::restore_metrics_state(&bundle.metrics);
-        telemetry::set_run_id_watermark(bundle.run_id_watermark);
+        bundle.restore_process_state();
         telemetry::counter(telemetry::names::CHECKPOINT_RESUMES).incr();
         args.open_journal_resumed(bundle.journal.unwrap_or_default());
         if let Some(sink) = journal_sink() {
@@ -254,13 +253,11 @@ impl CheckpointHook for CheckpointedSequence {
     }
 
     fn save(&mut self, checkpoint: &RunCheckpoint) -> Result<(), ActiveError> {
-        let bundle = CheckpointBundle {
-            run: checkpoint.clone(),
-            metrics: telemetry::metrics_state(),
-            run_id_watermark: telemetry::run_id_watermark(),
-            journal: journal_sink().map(|sink| sink.position()),
-            progress: encode_records(&self.completed),
-        };
+        let bundle = CheckpointBundle::capture(
+            checkpoint,
+            journal_sink().map(|sink| sink.position()),
+            encode_records(&self.completed),
+        );
         self.store
             .save(self.next_key, &bundle.to_file())
             .map_err(|e| ActiveError::Checkpoint {

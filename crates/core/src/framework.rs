@@ -635,10 +635,9 @@ struct LoopState {
 /// statistics come from unlabeled features only, so no label information
 /// leaks into preprocessing.
 pub fn standardized_dct(bench: &GeneratedBenchmark) -> (Matrix, Vec<f32>, Vec<f32>) {
-    let dct = bench.dct_features();
-    let (mean, std) = dct.column_stats();
-    let standardized = dct.standardized(&mean, &std);
-    let features = Matrix::from_flat(dct.rows(), dct.dim(), standardized.as_slice().to_vec());
+    let mut features = bench.dct_features().clone();
+    let (mean, std) = features.column_stats();
+    features.standardize(&mean, &std);
     (features, mean, std)
 }
 
@@ -678,7 +677,7 @@ fn fresh_loop_state<O: LithoOracle + ?Sized>(
     // Algorithm 2 line 1: posterior scores from the Gaussian mixture.
     let gmm = GaussianMixture::fit(
         bench.density_features().as_slice(),
-        bench.density_features().dim(),
+        bench.density_features().cols(),
         &GmmConfig {
             components: config.gmm_components.min(total),
             seed,

@@ -18,13 +18,6 @@ pub enum FeatureError {
         /// Available coefficients (`block * block`).
         available: usize,
     },
-    /// A matrix was built from rows of inconsistent width.
-    RaggedRows {
-        /// Width of the first row.
-        expected: usize,
-        /// Width of the offending row.
-        found: usize,
-    },
 }
 
 impl fmt::Display for FeatureError {
@@ -40,10 +33,6 @@ impl fmt::Display for FeatureError {
             } => write!(
                 f,
                 "requested {requested} coefficients per block but only {available} exist"
-            ),
-            FeatureError::RaggedRows { expected, found } => write!(
-                f,
-                "feature rows have inconsistent widths: expected {expected}, found {found}"
             ),
         }
     }

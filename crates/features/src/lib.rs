@@ -11,7 +11,8 @@
 //! 4. keep the first `k` coefficients in zig-zag order (low frequencies
 //!    carry layout shape; high frequencies carry pixel noise).
 //!
-//! The result is a compact [`FeatureMatrix`] consumed by the classifier, the
+//! The result is one compact feature row per clip; the benchmark generator
+//! stacks them into a `hotspot_nn::Matrix` consumed by the classifier, the
 //! GMM pre-clustering, and the diversity metric.
 //!
 //! # Example
@@ -37,13 +38,11 @@
 mod dct;
 mod error;
 mod extract;
-mod matrix;
 mod runlength;
 mod zigzag;
 
 pub use dct::Dct2d;
 pub use error::FeatureError;
 pub use extract::FeatureExtractor;
-pub use matrix::FeatureMatrix;
 pub use runlength::{run_length_histogram, DEFAULT_RUN_BINS};
 pub use zigzag::zigzag_order;

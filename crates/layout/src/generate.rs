@@ -1,8 +1,9 @@
 use crate::pattern::{synthesize, ClipFamily, ClipRecipe};
 use crate::{BenchmarkSpec, LayoutError, Signature};
-use hotspot_features::{FeatureExtractor, FeatureMatrix};
+use hotspot_features::FeatureExtractor;
 use hotspot_geom::{Point, Raster, Rect};
 use hotspot_litho::{CountingOracle, Label, LithoSimulator};
+use hotspot_nn::Matrix;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -18,8 +19,8 @@ pub struct GeneratedBenchmark {
     recipes: Vec<ClipRecipe>,
     labels: Vec<Label>,
     origins: Vec<Point>,
-    dct: FeatureMatrix,
-    density: FeatureMatrix,
+    dct: Matrix,
+    density: Matrix,
     signatures: Vec<Signature>,
     hotspot_count: usize,
 }
@@ -194,10 +195,10 @@ impl GeneratedBenchmark {
             .map(|i| Point::new((i % grid) as i64 * edge, (i / grid) as i64 * edge))
             .collect();
 
-        let dct = FeatureMatrix::from_rows(dct_rows).map_err(|e| LayoutError::BadSpec {
+        let dct = Matrix::from_rows(&dct_rows).map_err(|e| LayoutError::BadSpec {
             detail: format!("non-uniform DCT feature widths: {e}"),
         })?;
-        let density = FeatureMatrix::from_rows(density_rows).map_err(|e| LayoutError::BadSpec {
+        let density = Matrix::from_rows(&density_rows).map_err(|e| LayoutError::BadSpec {
             detail: format!("non-uniform density feature widths: {e}"),
         })?;
         Ok(GeneratedBenchmark {
@@ -244,12 +245,12 @@ impl GeneratedBenchmark {
     }
 
     /// Block-DCT features of every clip (row = clip).
-    pub fn dct_features(&self) -> &FeatureMatrix {
+    pub fn dct_features(&self) -> &Matrix {
         &self.dct
     }
 
     /// Coarse density features of every clip (row = clip).
-    pub fn density_features(&self) -> &FeatureMatrix {
+    pub fn density_features(&self) -> &Matrix {
         &self.density
     }
 
@@ -460,8 +461,8 @@ mod tests {
     fn features_have_expected_shapes() {
         let bench = GeneratedBenchmark::generate(&small_spec(), 3).unwrap();
         assert_eq!(bench.dct_features().rows(), bench.len());
-        assert_eq!(bench.dct_features().dim(), 148);
-        assert_eq!(bench.density_features().dim(), 16);
+        assert_eq!(bench.dct_features().cols(), 148);
+        assert_eq!(bench.density_features().cols(), 16);
         assert_eq!(bench.signatures().len(), bench.len());
         assert_eq!(bench.origins().len(), bench.len());
     }

@@ -5,8 +5,8 @@
 //! compiler cannot see:
 //!
 //! * **Determinism** — no ambient randomness ([`rules`]: `determinism-rng`),
-//!   no wall-clock reads outside telemetry and the injectable `Clock`
-//!   (`determinism-clock`), no order-randomized hash collections in library
+//!   no wall-clock reads outside telemetry, home of the injectable
+//!   `hotspot_telemetry::Clock` (`determinism-clock`), no order-randomized hash collections in library
 //!   code (`hash-order`). Bit-identical runs under a fixed seed are what
 //!   make Eq. 1 / Eq. 2 citable.
 //! * **Panic-safety** — `unwrap`/`expect`/`panic!` banned in library

@@ -63,12 +63,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "determinism-clock",
         severity: Severity::Error,
-        summary: "wall-clock reads (Instant::now/SystemTime::now) outside telemetry and Clock impls",
+        summary: "wall-clock reads (Instant::now/SystemTime::now) outside the telemetry crate",
         explain: "Wall-clock reads in library code leak nondeterminism into results and journals. \
-                  Time belongs in two places only: the telemetry crate (which owns timing as an \
-                  explicitly non-deterministic concern, redacted by canonical journals) and the \
-                  injectable `hotspot_litho::Clock` implementations (so tests substitute a \
-                  `VirtualClock`). Elsewhere, accept a `Clock` or move the measurement behind \
+                  Time belongs in one crate only: telemetry, which owns timing as an explicitly \
+                  non-deterministic concern (redacted by canonical journals) and the one \
+                  injectable `hotspot_telemetry::Clock` with its `SystemClock` (tests substitute \
+                  a `VirtualClock`). Elsewhere, accept a `Clock` or move the measurement behind \
                   telemetry; a site whose timing provably never reaches results may carry a \
                   reasoned `// lithohd-lint: allow(determinism-clock) — why` suppression.",
     },
@@ -766,8 +766,8 @@ fn scan_file(
                 "determinism-clock",
                 token,
                 format!(
-                    "`{source_type}::now()` outside telemetry/Clock impls; inject a Clock or \
-                     move timing behind telemetry"
+                    "`{source_type}::now()` outside telemetry; inject a \
+                     `hotspot_telemetry::Clock` or move timing behind telemetry"
                 ),
             ));
         }

@@ -60,6 +60,8 @@ pub use bitmap::Bitmap;
 pub use config::LithoConfig;
 pub use defect::{Defect, DefectKind};
 pub use fault::{FaultInjectionStats, FaultRates, FaultyOracle};
+/// The clock [`RetryOracle`] waits on; re-exported from `hotspot_telemetry`.
+pub use hotspot_telemetry::{Clock, SystemClock, VirtualClock};
 pub use kernel::GaussianKernel;
 pub use oracle::{
     CountingOracle, FaultMeterState, LithoOracle, OracleError, OracleStateSnapshot, OracleStats,
@@ -67,7 +69,7 @@ pub use oracle::{
 };
 pub use report::{Label, LithoReport};
 pub use resist::ResistModel;
-pub use retry::{Clock, RetryOracle, RetryPolicy, SystemClock, VirtualClock};
+pub use retry::{RetryOracle, RetryPolicy};
 
 use hotspot_geom::{Raster, Rect};
 

@@ -3,65 +3,19 @@
 //! [`RetryOracle`] makes an unreliable [`LithoOracle`] dependable: retryable
 //! failures are re-attempted under a bounded exponential-backoff-with-jitter
 //! [`RetryPolicy`], waiting on an injectable [`Clock`] (tests use a
-//! [`VirtualClock`] and never sleep for real). An optional quorum mode
-//! re-simulates every queried clip `R` times cache-bypassing and majority-
-//! votes the label, defending against *silent* corruption that no error code
-//! reports. Every billable re-simulation still flows through the inner
+//! [`VirtualClock`](hotspot_telemetry::VirtualClock) and never sleep for
+//! real). An optional quorum mode re-simulates every queried clip `R` times
+//! cache-bypassing and majority-votes the label, defending against *silent*
+//! corruption that no error code reports. Every billable re-simulation still flows through the inner
 //! oracle's `litho.oracle.calls` meter, so Eq. 2 accounting stays exact.
 
 use crate::{Label, LithoOracle, OracleError, OracleStats};
 use hotspot_telemetry as telemetry;
+use hotspot_telemetry::{Clock, SystemClock};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// A source of waiting. Production code sleeps the thread
-/// ([`SystemClock`]); tests record the requested delays ([`VirtualClock`]).
-pub trait Clock: std::fmt::Debug {
-    /// Waits for `duration` (or pretends to).
-    fn sleep(&mut self, duration: Duration);
-}
-
-/// A [`Clock`] that actually sleeps the calling thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn sleep(&mut self, duration: Duration) {
-        std::thread::sleep(duration);
-    }
-}
-
-/// A [`Clock`] that records requested delays instead of sleeping — backoff
-/// behaviour becomes observable and tests run at full speed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    slept: Vec<Duration>,
-}
-
-impl VirtualClock {
-    /// A fresh virtual clock with no recorded sleeps.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Every delay requested so far, in order.
-    pub fn sleeps(&self) -> &[Duration] {
-        &self.slept
-    }
-
-    /// Total virtual time slept.
-    pub fn total_slept(&self) -> Duration {
-        self.slept.iter().sum()
-    }
-}
-
-impl Clock for VirtualClock {
-    fn sleep(&mut self, duration: Duration) {
-        self.slept.push(duration);
-    }
-}
 
 /// Bounded exponential backoff with deterministic jitter.
 ///
@@ -164,7 +118,7 @@ pub struct RetryOracle<O, C = SystemClock> {
 impl<O: LithoOracle> RetryOracle<O, SystemClock> {
     /// Wraps `inner` with the given policy, sleeping on the real clock.
     pub fn new(inner: O, policy: RetryPolicy) -> Self {
-        RetryOracle::with_clock(inner, policy, SystemClock)
+        RetryOracle::with_clock(inner, policy, SystemClock::new())
     }
 }
 
@@ -223,7 +177,8 @@ impl<O: LithoOracle, C: Clock> RetryOracle<O, C> {
         &self.policy
     }
 
-    /// The clock in use (tests inspect recorded [`VirtualClock`] sleeps).
+    /// The clock in use (tests inspect recorded
+    /// [`VirtualClock`](hotspot_telemetry::VirtualClock) sleeps).
     pub fn clock(&self) -> &C {
         &self.clock
     }
@@ -386,6 +341,7 @@ impl<O: LithoOracle, C: Clock> LithoOracle for RetryOracle<O, C> {
 mod tests {
     use super::*;
     use crate::{CountingOracle, FaultRates, FaultyOracle};
+    use hotspot_telemetry::VirtualClock;
 
     fn truth() -> CountingOracle {
         CountingOracle::new(

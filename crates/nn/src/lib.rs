@@ -7,8 +7,9 @@
 //! imbalanced), the Adam optimiser, seedable Gaussian initialisation
 //! (`w ~ N(0, σ)` as in Algorithm 2 of the paper), and a mini-batch trainer.
 //!
-//! The design centres on [`Matrix`] (a batch of row vectors) flowing through
-//! a [`Sequential`] stack of [`Layer`]s. Two forward paths exist:
+//! The design centres on [`Matrix`] (a batch of row vectors, standardised
+//! by [`Matrix::standardize`]) flowing through a [`Sequential`] stack of
+//! [`Layer`]s. Two forward paths exist:
 //!
 //! * [`Sequential::infer`] — pure, `&self`, safe to call from parallel
 //!   threads for pool-scale inference;

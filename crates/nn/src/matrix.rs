@@ -2,8 +2,10 @@ use crate::NnError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A dense row-major `f32` matrix; rows are batch samples. This is the
-/// single tensor type of the library.
+/// A dense row-major `f32` matrix; rows are samples. This is the single
+/// tensor type of the library, and of the workspace's per-clip feature
+/// rows: a generated benchmark stores its DCT and density features as one
+/// `Matrix` each (row = clip).
 ///
 /// ```
 /// use hotspot_nn::Matrix;
@@ -278,38 +280,56 @@ impl Matrix {
         }
     }
 
-    /// Concatenates two matrices vertically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        if self.cols != other.cols && self.rows != 0 && other.rows != 0 {
-            return Err(NnError::ShapeMismatch {
-                op: "vstack",
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-            });
+    /// Per-column mean and standard deviation, for standardisation.
+    /// Columns with zero variance report a standard deviation of 1 so that
+    /// standardising them is a no-op shift.
+    pub fn column_stats(&self) -> (Vec<f32>, Vec<f32>) {
+        let mut mean = vec![0.0f64; self.cols];
+        for row in self.data.chunks_exact(self.cols) {
+            for (m, &v) in mean.iter_mut().zip(row) {
+                *m += v as f64;
+            }
         }
-        let cols = if self.rows == 0 {
-            other.cols
-        } else {
-            self.cols
-        };
-        let mut data = Vec::with_capacity((self.rows + other.rows) * cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols,
-            data,
-        })
+        let n = self.rows.max(1) as f64;
+        for m in &mut mean {
+            *m /= n;
+        }
+        let mut var = vec![0.0f64; self.cols];
+        for row in self.data.chunks_exact(self.cols) {
+            for ((s, &v), m) in var.iter_mut().zip(row).zip(&mean) {
+                *s += (v as f64 - m).powi(2);
+            }
+        }
+        let std: Vec<f32> = var
+            .iter()
+            .map(|&s| {
+                let sd = (s / n).sqrt();
+                if sd > 1e-12 {
+                    sd as f32
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        (mean.into_iter().map(|m| m as f32).collect(), std)
     }
 
-    /// Scales every element in place.
-    pub fn scale(&mut self, factor: f32) {
-        for v in &mut self.data {
-            *v *= factor;
+    /// Standardises in place: each column shifted by `mean` and divided by
+    /// `std`. Training ([`Matrix::column_stats`] of the whole pool) and
+    /// serving (the training statistics applied to unseen rows) both go
+    /// through here, so a served row is scaled exactly as the classifier
+    /// saw its training rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the statistics vectors do not match the column count.
+    pub fn standardize(&mut self, mean: &[f32], std: &[f32]) {
+        assert_eq!(mean.len(), self.cols, "mean length mismatch");
+        assert_eq!(std.len(), self.cols, "std length mismatch");
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for ((v, &m), &s) in row.iter_mut().zip(mean).zip(std) {
+                *v = (*v - m) / s;
+            }
         }
     }
 }
@@ -392,21 +412,59 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_vstack() {
-        let a = m(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let g = a.gather_rows(&[2, 0]);
-        assert_eq!(g.as_slice(), &[3.0, 1.0]);
-        let s = g.vstack(&a).unwrap();
-        assert_eq!(s.rows(), 5);
+    fn rejects_ragged_rows() {
+        let err = Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).unwrap_err();
+        assert_eq!(
+            err,
+            NnError::RaggedRows {
+                expected: 1,
+                found: 2
+            }
+        );
     }
 
     #[test]
-    fn vstack_with_empty() {
-        let empty = Matrix::zeros(0, 0);
-        let a = m(&[vec![1.0, 2.0]]);
-        let s = empty.vstack(&a).unwrap();
-        assert_eq!(s.rows(), 1);
-        assert_eq!(s.cols(), 2);
+    fn row_access() {
+        let a = m(&[vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]]);
+        assert_eq!(a.rows(), 3);
+        assert_eq!(a.cols(), 2);
+        assert_eq!(a.row(2), &[3.0, 30.0]);
+    }
+
+    #[test]
+    fn gather_reorders_rows() {
+        let a = m(&[vec![1.0], vec![2.0], vec![3.0]]);
+        let g = a.gather_rows(&[2, 0]);
+        assert_eq!(g.as_slice(), &[3.0, 1.0]);
+    }
+
+    #[test]
+    fn standardize_centers_columns() {
+        let mut a = m(&[
+            vec![1.0, 10.0],
+            vec![2.0, 20.0],
+            vec![3.0, 30.0],
+            vec![4.0, 40.0],
+        ]);
+        let (mean, std) = a.column_stats();
+        a.standardize(&mean, &std);
+        // Column means of the standardized matrix are ~0, stds ~1.
+        let (m2, s2) = a.column_stats();
+        for v in m2 {
+            assert!(v.abs() < 1e-6);
+        }
+        for v in s2 {
+            assert!((v - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn constant_column_standardizes_to_zero() {
+        let mut a = m(&[vec![5.0, 1.0], vec![5.0, 2.0]]);
+        let (mean, std) = a.column_stats();
+        a.standardize(&mean, &std);
+        assert_eq!(a.at(0, 0), 0.0);
+        assert_eq!(a.at(1, 0), 0.0);
     }
 
     #[test]

@@ -28,10 +28,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hotspot_telemetry::{names, MetricsRegistry};
+use hotspot_telemetry::{names, Clock, MetricsRegistry};
 
 use crate::api::ClipScore;
-use crate::clock::Clock;
 use crate::scorer::Scorer;
 
 /// Micro-batcher tuning knobs.
@@ -270,8 +269,8 @@ fn flush(scorer: &Scorer, jobs: Vec<ScoreJob>, clip_count: usize, registry: &Met
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use crate::scorer::BootstrapConfig;
+    use hotspot_telemetry::VirtualClock;
 
     fn tiny_scorer() -> Arc<Scorer> {
         let config = BootstrapConfig {
@@ -294,7 +293,7 @@ mod tests {
         let scorer = tiny_scorer();
         let batcher = MicroBatcher::start(
             Arc::clone(&scorer),
-            Arc::new(ManualClock::new()),
+            Arc::new(VirtualClock::new()),
             BatchOptions::default(),
             Arc::new(MetricsRegistry::default()),
         );
@@ -312,7 +311,7 @@ mod tests {
         let scorer = tiny_scorer();
         let batcher = MicroBatcher::start(
             scorer,
-            Arc::new(ManualClock::new()),
+            Arc::new(VirtualClock::new()),
             BatchOptions {
                 max_inflight: 0,
                 ..BatchOptions::default()
@@ -334,7 +333,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::default());
         let batcher = MicroBatcher::start(
             Arc::clone(&scorer),
-            Arc::new(ManualClock::new()),
+            Arc::new(VirtualClock::new()),
             BatchOptions {
                 max_batch: 64,
                 max_delay: Duration::from_millis(1),

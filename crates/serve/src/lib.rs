@@ -39,7 +39,6 @@
 pub mod api;
 pub mod batcher;
 pub mod client;
-pub mod clock;
 pub mod scorer;
 pub mod server;
 pub mod session;
@@ -50,7 +49,8 @@ pub use api::{
 };
 pub use batcher::{BatchOptions, MicroBatcher, SubmitError};
 pub use client::HttpClient;
-pub use clock::{Clock, ManualClock, SystemClock};
+/// The clock the [`MicroBatcher`] reads; re-exported from `hotspot_telemetry`.
+pub use hotspot_telemetry::{Clock, SystemClock};
 pub use scorer::{BootstrapConfig, Scorer};
 pub use server::{ServeApp, ServeOptions};
 pub use session::{SessionManager, SessionSpec};

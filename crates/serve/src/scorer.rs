@@ -172,7 +172,7 @@ impl Scorer {
     /// # Errors
     ///
     /// Returns [`ServeError::BadInput`] for empty, oversized, or
-    /// shape-mismatched pixel grids.
+    /// shape-mismatched pixel grids, and for a non-finite pixel.
     pub fn raster_features(
         &self,
         width: usize,
@@ -192,6 +192,14 @@ impl Scorer {
                 pixels.len()
             )));
         }
+        if let Some(i) = pixels.iter().position(|p| !p.is_finite()) {
+            return Err(ServeError::BadInput(format!(
+                "raster pixel at x {}, y {} is {}, not a finite number",
+                i % width,
+                i / width,
+                pixels[i]
+            )));
+        }
         let region = Rect::new(0, 0, width as i64, height as i64)
             .map_err(|e| ServeError::BadInput(format!("bad raster region: {e}")))?;
         let mut raster = Raster::zeros(region, 1)
@@ -202,18 +210,16 @@ impl Scorer {
         Ok(self.extractor.clip_features(&raster))
     }
 
-    /// Scores a batch of raw feature rows: standardise, one forward pass,
-    /// then per-row calibrated probabilities and uncertainties.
+    /// Checks that every raw feature row has the model's width and only
+    /// finite entries. A non-finite entry would otherwise pass the forward
+    /// pass as a NaN that ReLU silently maps to 0.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadInput`] when any row has the wrong width.
-    pub fn score_rows(&self, rows: &[Vec<f32>]) -> Result<Vec<ClipScore>, ServeError> {
+    /// Returns [`ServeError::BadInput`] naming the first offending row (and
+    /// column).
+    pub fn check_rows(&self, rows: &[Vec<f32>]) -> Result<(), ServeError> {
         let dim = self.input_dim();
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut data = Vec::with_capacity(rows.len() * dim);
         for (index, row) in rows.iter().enumerate() {
             if row.len() != dim {
                 return Err(ServeError::BadInput(format!(
@@ -221,11 +227,30 @@ impl Scorer {
                     row.len()
                 )));
             }
-            for ((&v, &m), &s) in row.iter().zip(&self.mean).zip(&self.std) {
-                data.push((v - m) / s);
+            if let Some(column) = row.iter().position(|v| !v.is_finite()) {
+                return Err(ServeError::BadInput(format!(
+                    "feature row {index} column {column} is {}, not a finite number",
+                    row[column]
+                )));
             }
         }
-        let batch = Matrix::from_flat(rows.len(), dim, data);
+        Ok(())
+    }
+
+    /// Scores a batch of raw feature rows: standardise, one forward pass,
+    /// then per-row calibrated probabilities and uncertainties.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::BadInput`] when [`Scorer::check_rows`] refuses
+    /// the rows.
+    pub fn score_rows(&self, rows: &[Vec<f32>]) -> Result<Vec<ClipScore>, ServeError> {
+        self.check_rows(rows)?;
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut batch = Matrix::from_flat(rows.len(), self.input_dim(), rows.concat());
+        batch.standardize(&self.mean, &self.std);
         let (logits, _) = self.model.predict(&batch);
         let mut probabilities = Vec::with_capacity(rows.len() * 2);
         for i in 0..rows.len() {

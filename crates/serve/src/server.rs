@@ -21,13 +21,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hotspot_telemetry::{
-    self as telemetry, names, serve_http, Handler, HttpOptions, HttpServer, MetricsRegistry,
-    Request, Response,
+    self as telemetry, names, serve_http, Clock, Handler, HttpOptions, HttpServer, MetricsRegistry,
+    Request, Response, SystemClock,
 };
 
 use crate::api::{ErrorBody, ReadyResponse, ScoreRequest, ScoreResponse};
 use crate::batcher::{BatchOptions, MicroBatcher, SubmitError};
-use crate::clock::{Clock, SystemClock};
 use crate::scorer::{BootstrapConfig, Scorer};
 use crate::session::SessionManager;
 use crate::ServeError;
@@ -250,20 +249,10 @@ fn score(state: &AppState, request: &Request) -> Response {
             &request_id,
         );
     }
-    // Validate shape before admission control, so a malformed request is a
-    // 400 even when the server would otherwise shed it.
-    let dim = state.scorer.input_dim();
-    for (index, row) in rows.iter().enumerate() {
-        if row.len() != dim {
-            return error_response(
-                400,
-                &format!(
-                    "feature row {index} has {} entries, expected {dim}",
-                    row.len()
-                ),
-                &request_id,
-            );
-        }
+    // Validate before admission control, so a malformed request is a 400
+    // even when the server would otherwise shed it.
+    if let Err(e) = state.scorer.check_rows(&rows) {
+        return error_response(e.status(), &e.to_string(), &request_id);
     }
     let clip_count = rows.len();
     match state.batcher.score(rows) {

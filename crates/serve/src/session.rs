@@ -375,14 +375,14 @@ impl Runner {
             .map_err(|e| ServeError::Internal(format!("cannot load checkpoint: {e}")))?;
         let journal_path = dir.join("journal.jsonl");
 
-        // Restore-or-init exactly as the bench harness does: cumulative
-        // telemetry and the run-id allocator continue from the checkpoint,
-        // and the journal is truncated to the durable position so records
-        // written after the save never survive twice.
+        // Restore-or-init through the same `CheckpointBundle` pair as the
+        // bench harness: cumulative telemetry and the run-id allocator
+        // continue from the checkpoint, and the journal is truncated to the
+        // durable position so records written after the save never survive
+        // twice.
         let (sink, resume_cp, next_key) = match latest {
             Some((key, bundle)) => {
-                telemetry::restore_metrics_state(&bundle.metrics);
-                telemetry::set_run_id_watermark(bundle.run_id_watermark);
+                bundle.restore_process_state();
                 self.registry.counter(names::SERVE_SESSION_RESUMES).incr();
                 let position = bundle.journal.unwrap_or_default();
                 let sink = JsonlSink::resume(&journal_path, position, true)
@@ -513,13 +513,7 @@ impl CheckpointHook for StepHook<'_> {
     }
 
     fn save(&mut self, checkpoint: &RunCheckpoint) -> Result<(), ActiveError> {
-        let bundle = CheckpointBundle {
-            run: checkpoint.clone(),
-            metrics: telemetry::metrics_state(),
-            run_id_watermark: telemetry::run_id_watermark(),
-            journal: Some(self.sink.position()),
-            progress: Vec::new(),
-        };
+        let bundle = CheckpointBundle::capture(checkpoint, Some(self.sink.position()), Vec::new());
         self.store
             .save(self.next_key, &bundle.to_file())
             .map_err(|e| ActiveError::Checkpoint {

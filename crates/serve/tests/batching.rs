@@ -210,6 +210,40 @@ fn admission_control_and_error_bodies_speak_http() {
     let body: ErrorBody = serde_json::from_str(&response.body).expect("parse width body");
     assert_eq!(body.request_id, "rid-9");
 
+    // Non-finite input: 1e39 overflows f32 to infinity. Instead of a 200
+    // with a meaningless probability, a 400 names the row and column, or
+    // the pixel.
+    let mut cells = vec!["0".to_string(); dim];
+    cells[3] = "1e39".to_string();
+    let response = http
+        .post_json(
+            "/score",
+            &format!(
+                r#"{{"request_id":"rid-inf","features":[[{}]]}}"#,
+                cells.join(",")
+            ),
+        )
+        .expect("post non-finite feature");
+    assert_eq!(response.status, 400);
+    let body: ErrorBody = serde_json::from_str(&response.body).expect("parse feature body");
+    assert_eq!(body.request_id, "rid-inf");
+    assert!(body.error.contains("row 0 column 3"), "{}", body.error);
+    let mut pixels = vec!["0.5".to_string(); 16 * 16];
+    pixels[2 * 16 + 5] = "-1e39".to_string();
+    let response = http
+        .post_json(
+            "/score",
+            &format!(
+                r#"{{"request_id":"rid-px","rasters":[{{"width":16,"height":16,"pixels":[{}]}}]}}"#,
+                pixels.join(",")
+            ),
+        )
+        .expect("post non-finite pixel");
+    assert_eq!(response.status, 400);
+    let body: ErrorBody = serde_json::from_str(&response.body).expect("parse raster body");
+    assert_eq!(body.request_id, "rid-px");
+    assert!(body.error.contains("x 5, y 2"), "{}", body.error);
+
     // Unknown campaign names: a 400 whose message lists the valid names.
     for (request, valid) in [
         (r#"{"method":"badge"}"#, "ours, ts, qp, or random"),

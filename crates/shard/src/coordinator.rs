@@ -7,11 +7,10 @@ use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hotspot_litho::{
-    Clock, Label, LithoOracle, OracleError, OracleStateSnapshot, OracleStats, SystemClock,
-};
+use hotspot_litho::{Label, LithoOracle, OracleError, OracleStateSnapshot, OracleStats};
 use hotspot_store::{decode_from_slice, encode_to_vec, CheckpointFile, CheckpointStore};
 use hotspot_telemetry as telemetry;
+use hotspot_telemetry::{Clock, SystemClock};
 use rand_chacha::{ChaCha8Rng, RngCore, SeedableRng};
 
 use crate::ClipOutcome;
@@ -153,13 +152,13 @@ impl<O, F> ShardedOracle<O, F, SystemClock> {
     /// Wraps `master`, fanning batches out across `config.workers` threads
     /// whose oracle stacks are built by `factory(shard, jitter_seed)`.
     pub fn new(master: O, factory: F, config: ShardConfig) -> Self {
-        Self::with_clock(master, factory, config, SystemClock)
+        Self::with_clock(master, factory, config, SystemClock::new())
     }
 }
 
 impl<O, F, C> ShardedOracle<O, F, C> {
     /// [`ShardedOracle::new`] with an explicit coordinator clock (tests use
-    /// [`hotspot_litho::VirtualClock`] to exercise the hung-shard deadline
+    /// [`hotspot_telemetry::VirtualClock`] to exercise the hung-shard deadline
     /// without real sleeps).
     pub fn with_clock(master: O, factory: F, config: ShardConfig, clock: C) -> Self {
         let stream = ChaCha8Rng::seed_from_u64(config.stream_seed);

@@ -26,7 +26,7 @@
 //!    every clip through per-shard [`hotspot_store::CheckpointStore`]
 //!    atomic-rename commits; the coordinator captures panics, bounds each
 //!    shard by a poll deadline over the injectable
-//!    [`hotspot_litho::Clock`], salvages committed outcomes from a lost
+//!    [`hotspot_telemetry::Clock`], salvages committed outcomes from a lost
 //!    worker's store, and reassigns the orphaned remainder to a fresh
 //!    recovery round. Purity makes a salvaged outcome identical to a
 //!    recomputed one, so a murdered worker leaves no trace in the merged

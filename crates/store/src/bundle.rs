@@ -4,7 +4,7 @@
 //! a corruption report names the damaged part.
 
 use hotspot_active::RunCheckpoint;
-use hotspot_telemetry::{JournalPosition, MetricsState};
+use hotspot_telemetry::{self as telemetry, JournalPosition, MetricsState};
 
 use crate::file::CheckpointFile;
 use crate::snapshot::{decode_from_slice, encode_to_vec, RunMeta};
@@ -47,6 +47,32 @@ pub struct CheckpointBundle {
 }
 
 impl CheckpointBundle {
+    /// Captures `run` together with the process state a resumed process
+    /// must continue from: the cumulative telemetry metrics and the run-id
+    /// watermark, read at this moment.
+    pub fn capture(
+        run: &RunCheckpoint,
+        journal: Option<JournalPosition>,
+        progress: Vec<u8>,
+    ) -> Self {
+        CheckpointBundle {
+            run: run.clone(),
+            metrics: telemetry::metrics_state(),
+            run_id_watermark: telemetry::run_id_watermark(),
+            journal,
+            progress,
+        }
+    }
+
+    /// The inverse of [`CheckpointBundle::capture`] for process state:
+    /// cumulative metrics continue from the checkpoint rather than from
+    /// whatever the resuming process did before this call, and the run-id
+    /// allocator resumes past every id the checkpointed process handed out.
+    pub fn restore_process_state(&self) {
+        telemetry::restore_metrics_state(&self.metrics);
+        telemetry::set_run_id_watermark(self.run_id_watermark);
+    }
+
     /// Packs the bundle into a section file ready for
     /// [`crate::CheckpointStore::save`].
     pub fn to_file(&self) -> CheckpointFile {

@@ -25,12 +25,17 @@
 //!   JSON for Perfetto. Trace data never reaches a sink, so canonical
 //!   journals are unaffected.
 //!
+//! - **Time** ([`Clock`]) is injected: [`SystemClock`] in production,
+//!   [`VirtualClock`] in tests, so retry backoff, shard polling and batching
+//!   deadlines never read the wall clock directly.
+//!
 //! With no sinks registered, events cost one atomic load and spans only
 //! update the profile tree — instrumented library code stays cheap for
 //! callers that never opt in.
 
 #![forbid(unsafe_code)]
 
+mod clock;
 mod event;
 mod export;
 mod http;
@@ -41,6 +46,7 @@ mod sink;
 mod span;
 pub mod trace;
 
+pub use clock::{Clock, SystemClock, VirtualClock};
 pub use event::{Event, FieldValue};
 pub use export::{prometheus_name, render_prometheus};
 pub use http::{

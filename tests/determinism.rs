@@ -86,7 +86,7 @@ fn generation_digest(bench: &GeneratedBenchmark) -> u64 {
         }
     }
     for features in [bench.dct_features(), bench.density_features()] {
-        h.u64(features.dim() as u64);
+        h.u64(features.cols() as u64);
         for &v in features.as_slice() {
             h.bytes(&v.to_bits().to_le_bytes());
         }
@@ -240,7 +240,7 @@ fn gmm_scores_are_deterministic_over_generated_features() {
     let fit = |seed| {
         GaussianMixture::fit(
             bench.density_features().as_slice(),
-            bench.density_features().dim(),
+            bench.density_features().cols(),
             &GmmConfig {
                 components: 3,
                 seed,
