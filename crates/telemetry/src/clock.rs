@@ -24,7 +24,7 @@ pub trait Clock: Send + Sync + fmt::Debug {
 
 /// The production clock: real time since construction; sleeping blocks the
 /// calling thread.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct SystemClock {
     start: Instant,
 }
