@@ -2,9 +2,9 @@
 //! from its newest checkpoint must reproduce the uninterrupted run exactly —
 //! the canonical journal byte for byte, and every method's accuracy and
 //! Litho# in the JSON results. This exercises the whole persistence stack:
-//! atomic checkpoint commits, journal truncate-and-append, restored RNG /
-//! model / oracle-cache state, and replay of already-completed runs without
-//! re-billing a single litho simulation.
+//! atomic checkpoint commits, journal truncate-and-append, restored model /
+//! dataset / score-order / oracle-cache state, and replay of
+//! already-completed runs without re-billing a single litho simulation.
 
 use std::path::Path;
 use std::process::Command;

@@ -1,11 +1,15 @@
 //! Run-state checkpointing for [`SamplingFramework`](crate::SamplingFramework).
 //!
-//! A [`RunCheckpoint`] is everything Algorithm 2 needs to continue from an
-//! iteration boundary in a fresh process: the dataset partition, the model
-//! (weights *and* optimiser moments), the fitted mixture model, the RNG
-//! keystream position, accumulated per-iteration history, and — critically
+//! A [`RunCheckpoint`] is what the Algorithm 2 loop (lines 6–13) reads back
+//! to continue from an iteration boundary in a fresh process: the dataset
+//! partition, the model (weights *and* optimiser moments), the pool's
+//! GMM-likelihood order, accumulated per-iteration history, and — critically
 //! for the paper's Eq. 2 accounting — the oracle's label cache and meters,
 //! so a resumed run never re-bills a simulation that was already paid for.
+//! Nothing else is kept: the temperature is refitted on the validation set
+//! at the top of every iteration (line 8), the run's RNG is spent before
+//! the loop, and the mixture model itself is only needed for the score
+//! order.
 //!
 //! The framework is persistence-agnostic: it talks to a [`CheckpointHook`]
 //! and never sees a file. The `hotspot-store` crate provides the durable
@@ -13,9 +17,7 @@
 //! free no-op used by the plain entry points.
 
 use crate::{ActiveError, IterationStats, ModelState, RunFaultStats};
-use hotspot_gmm::GaussianMixture;
 use hotspot_litho::{OracleStateSnapshot, OracleStats};
-use rand_chacha::ChaChaStreamState;
 
 /// The dataset partition of a checkpointed run. The unlabeled pool is not
 /// stored: [`ActiveDataset::from_parts`](crate::ActiveDataset::from_parts)
@@ -34,10 +36,10 @@ pub struct DatasetCheckpoint {
 
 /// Complete Algorithm 2 loop state at an iteration boundary.
 ///
-/// Captured by the framework after an iteration's bookkeeping (including the
-/// cold-batch termination update) and handed to the [`CheckpointHook`];
-/// restoring it resumes the run bit-identically — same future selections,
-/// same metrics, same Litho# — in the same or a fresh process.
+/// Captured by the framework after an iteration's bookkeeping and handed to
+/// the [`CheckpointHook`]; restoring it resumes the run bit-identically —
+/// same future selections, same metrics, same Litho# — in the same or a
+/// fresh process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
     /// The iteration that completed last (1-based); the resumed loop starts
@@ -59,17 +61,10 @@ pub struct RunCheckpoint {
     pub dataset: DatasetCheckpoint,
     /// Classifier weights, Adam moments, and step counter.
     pub model: ModelState,
-    /// The fitted mixture model (Algorithm 2 line 1).
-    pub gmm: GaussianMixture,
-    /// Temperature fitted in the checkpointed iteration.
-    pub temperature: f64,
     /// Validation ECE before calibration (`T = 1`), computed once pre-loop.
     pub ece_before: f64,
     /// Per-iteration stats accumulated so far.
     pub history: Vec<IterationStats>,
-    /// Consecutive zero-hotspot batches (termination tracking), updated for
-    /// the checkpointed iteration.
-    pub cold_batches: usize,
     /// Fault-handling tallies accumulated so far.
     pub fault_stats: RunFaultStats,
     /// The oracle's meter reading at original run start; the run's Eq. 2
@@ -78,9 +73,6 @@ pub struct RunCheckpoint {
     /// The process-wide `litho.oracle.calls` counter at original run start
     /// (the counter itself is restored separately, by the persistence layer).
     pub oracle_calls_before: u64,
-    /// Keystream position of the run's RNG (exhausted pre-loop today, but
-    /// captured so future in-loop consumers stay resumable by construction).
-    pub rng: ChaChaStreamState,
     /// Oracle label cache and meters ([`hotspot_litho::LithoOracle::state_snapshot`]);
     /// `None` when the oracle does not support state capture.
     pub oracle: Option<OracleStateSnapshot>,

@@ -70,12 +70,6 @@ pub struct SamplingConfig {
     /// Detection threshold on the calibrated hotspot probability for the
     /// final full-chip prediction; the paper reuses `h`.
     pub detect_threshold: f32,
-    /// Optional early termination: stop the sampling loop after this many
-    /// consecutive iterations whose batches contained no hotspot. The paper
-    /// leaves its "termination condition" unspecified beyond the iteration
-    /// count `N`; this is the natural budget-saving rule (`None` = run all
-    /// `N` iterations).
-    pub stop_after_cold_batches: Option<usize>,
 }
 
 impl SamplingConfig {
@@ -103,7 +97,6 @@ impl SamplingConfig {
             weight_mode: WeightMode::Entropy,
             ablation: AblationConfig::default(),
             detect_threshold: 0.4,
-            stop_after_cold_batches: None,
         }
     }
 
@@ -161,14 +154,6 @@ mod tests {
             c.without_entropy_weighting().weight_mode,
             WeightMode::Fixed { omega2 } if (omega2 - 0.5).abs() < 1e-12
         ));
-    }
-
-    #[test]
-    fn cold_batch_termination_defaults_off() {
-        assert_eq!(
-            SamplingConfig::for_benchmark(1000).stop_after_cold_batches,
-            None
-        );
     }
 
     #[test]

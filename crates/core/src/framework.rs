@@ -239,25 +239,18 @@ impl SamplingFramework {
             oracle_calls_before,
             stats_before,
             mut fault_stats,
-            gmm,
             by_score,
             mut dataset,
             mut model,
-            rng,
             ece_before,
             mut history,
-            mut cold_batches,
             next_iteration,
-            finished,
         } = state;
 
-        #[allow(unused_assignments)] // re-fitted after the loop for detection
-        let mut temperature = Temperature::identity();
         // Lines 6–13: iterative batch sampling. An empty range means the
-        // checkpoint already covered every iteration (or the cold-batch stop
-        // already fired); the run goes straight to detection.
-        let last_iteration = if finished { 0 } else { config.iterations };
-        for iteration in next_iteration..=last_iteration {
+        // checkpoint already covered every iteration; the run goes straight
+        // to detection.
+        for iteration in next_iteration..=config.iterations {
             let _iter_span = telemetry::span(telemetry::names::SPAN_ITERATION)
                 .with("iteration", iteration as u64);
             // Line 7: query pool = n lowest-GMM-likelihood unlabeled clips.
@@ -271,7 +264,7 @@ impl SamplingFramework {
                 break;
             }
             // Line 8: temperature fit on the validation set.
-            temperature =
+            let temperature =
                 self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
             let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
             let diagram =
@@ -374,18 +367,6 @@ impl SamplingFramework {
             };
             emit_iteration(run_id, &stats, batch.len());
             history.push(stats);
-            // Optional termination condition: the sampler has gone cold. The
-            // tally is updated *before* any checkpoint so a resumed run
-            // re-derives the same stop decision from `cold_batches` alone.
-            let mut stop = false;
-            if let Some(limit) = config.stop_after_cold_batches {
-                if batch_hotspots == 0 {
-                    cold_batches += 1;
-                    stop = cold_batches >= limit;
-                } else {
-                    cold_batches = 0;
-                }
-            }
             if hook.wants_save(iteration) {
                 let checkpoint = RunCheckpoint {
                     iteration,
@@ -400,26 +381,19 @@ impl SamplingFramework {
                         validation_classes: dataset.validation_classes().to_vec(),
                     },
                     model: model.state(),
-                    gmm: gmm.clone(),
-                    temperature: temperature.value(),
                     ece_before,
                     history: history.clone(),
-                    cold_batches,
                     fault_stats,
                     stats_before,
                     oracle_calls_before,
-                    rng: rng.stream_state(),
                     oracle: oracle.state_snapshot(),
                 };
                 hook.save(&checkpoint)?;
             }
-            if stop {
-                break;
-            }
         }
 
         // Final calibration and full-chip detection on the remaining pool.
-        temperature =
+        let temperature =
             self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
         let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
         let after_diagram =
@@ -614,19 +588,13 @@ struct LoopState {
     /// Oracle meter reading at (original) run start.
     stats_before: OracleStats,
     fault_stats: RunFaultStats,
-    gmm: GaussianMixture,
     by_score: Vec<usize>,
     dataset: ActiveDataset,
     model: HotspotModel,
-    rng: ChaCha8Rng,
     ece_before: f64,
     history: Vec<IterationStats>,
-    cold_batches: usize,
     /// First iteration the loop should execute (1 fresh, `k + 1` resumed).
     next_iteration: usize,
-    /// The cold-batch stop already fired before the checkpoint; skip the
-    /// loop entirely and go straight to detection.
-    finished: bool,
 }
 
 /// The benchmark's DCT features standardised per column, as the classifier
@@ -765,16 +733,12 @@ fn fresh_loop_state<O: LithoOracle + ?Sized>(
         oracle_calls_before,
         stats_before,
         fault_stats,
-        gmm,
         by_score,
         dataset,
         model,
-        rng,
         ece_before,
         history: Vec::with_capacity(config.iterations),
-        cold_batches: 0,
         next_iteration: 1,
-        finished: false,
     })
 }
 
@@ -813,9 +777,6 @@ fn resume_loop_state<O: LithoOracle + ?Sized>(
         config.train_batch,
     );
     model.restore_state(&cp.model)?;
-    let rng = ChaCha8Rng::from_stream_state(cp.rng).ok_or_else(|| ActiveError::Checkpoint {
-        detail: "invalid RNG keystream state".to_owned(),
-    })?;
     // Provenance, not run semantics: the `store.checkpoint` target is
     // withheld from canonical journals so interrupted-and-resumed runs stay
     // byte-identical to uninterrupted ones.
@@ -828,23 +789,16 @@ fn resume_loop_state<O: LithoOracle + ?Sized>(
             ("labeled", (dataset.labeled().len() as u64).into()),
         ],
     );
-    let finished = config
-        .stop_after_cold_batches
-        .is_some_and(|limit| cp.cold_batches >= limit);
     Ok(LoopState {
         oracle_calls_before: cp.oracle_calls_before,
         stats_before: cp.stats_before,
         fault_stats: cp.fault_stats,
-        gmm: cp.gmm,
         by_score: cp.by_score,
         dataset,
         model,
-        rng,
         ece_before: cp.ece_before,
         history: cp.history,
-        cold_batches: cp.cold_batches,
         next_iteration: cp.iteration + 1,
-        finished,
     })
 }
 
@@ -1468,28 +1422,5 @@ mod tests {
             ),
             Err(ActiveError::Checkpoint { .. })
         ));
-    }
-
-    #[test]
-    fn cold_batch_termination_shortens_the_loop() {
-        let bench = small_bench();
-        let mut config = small_config(bench.len());
-        config.iterations = 12;
-        let full = SamplingFramework::new(config.clone())
-            .run(&bench, &mut EntropySelector::new(), 4)
-            .unwrap();
-        config.stop_after_cold_batches = Some(1);
-        let stopped = SamplingFramework::new(config)
-            .run(&bench, &mut EntropySelector::new(), 4)
-            .unwrap();
-        // Identical up to the stop point, then truncated.
-        assert!(stopped.history.len() <= full.history.len());
-        for (a, b) in stopped.history.iter().zip(&full.history) {
-            assert_eq!(a, b);
-        }
-        if stopped.history.len() < full.history.len() {
-            assert_eq!(stopped.history.last().unwrap().batch_hotspots, 0);
-            assert!(stopped.metrics.litho <= full.metrics.litho);
-        }
     }
 }

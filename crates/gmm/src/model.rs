@@ -222,48 +222,6 @@ impl GaussianMixture {
         &self.variances
     }
 
-    /// Rebuilds a fitted mixture from raw parameters (as exposed by
-    /// [`Self::weights`] / [`Self::means`] / [`Self::variances`]), e.g. when
-    /// restoring a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GmmError::BadConfig`] when `dim` is zero, the parameter
-    /// lengths are inconsistent, or any value is non-finite (variances must
-    /// also be positive).
-    pub fn from_parts(
-        dim: usize,
-        weights: Vec<f64>,
-        means: Vec<f64>,
-        variances: Vec<f64>,
-    ) -> Result<Self, GmmError> {
-        if dim == 0 || weights.is_empty() {
-            return Err(GmmError::BadConfig {
-                detail: "dimension and component count must be positive",
-            });
-        }
-        let k = weights.len();
-        if means.len() != k * dim || variances.len() != k * dim {
-            return Err(GmmError::BadConfig {
-                detail: "means/variances length must be components × dim",
-            });
-        }
-        if !weights.iter().all(|w| w.is_finite() && *w >= 0.0)
-            || !means.iter().all(|m| m.is_finite())
-            || !variances.iter().all(|v| v.is_finite() && *v > 0.0)
-        {
-            return Err(GmmError::BadConfig {
-                detail: "parameters must be finite (variances positive)",
-            });
-        }
-        Ok(GaussianMixture {
-            dim,
-            weights,
-            means,
-            variances,
-        })
-    }
-
     /// Log density `ln p(x)` of one sample.
     ///
     /// # Panics
@@ -414,32 +372,6 @@ mod tests {
             })
             .unwrap();
         assert!(r[near] > 0.99);
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_fitted_model() {
-        let data = two_cluster_data();
-        let gmm = GaussianMixture::fit(&data, 2, &GmmConfig::default()).unwrap();
-        let rebuilt = GaussianMixture::from_parts(
-            gmm.dim(),
-            gmm.weights().to_vec(),
-            gmm.means().to_vec(),
-            gmm.variances().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, gmm);
-        assert_eq!(
-            rebuilt.score_samples(&data[..8]),
-            gmm.score_samples(&data[..8])
-        );
-    }
-
-    #[test]
-    fn from_parts_rejects_bad_shapes_and_values() {
-        assert!(GaussianMixture::from_parts(0, vec![1.0], vec![], vec![]).is_err());
-        assert!(GaussianMixture::from_parts(2, vec![1.0], vec![0.0; 2], vec![1.0; 3]).is_err());
-        assert!(GaussianMixture::from_parts(1, vec![1.0], vec![f64::NAN], vec![1.0]).is_err());
-        assert!(GaussianMixture::from_parts(1, vec![1.0], vec![0.0], vec![0.0]).is_err());
     }
 
     #[test]

@@ -211,8 +211,9 @@ impl Scorer {
     }
 
     /// Checks that every raw feature row has the model's width and only
-    /// finite entries. A non-finite entry would otherwise pass the forward
-    /// pass as a NaN that ReLU silently maps to 0.
+    /// entries that stay finite once standardised. A non-finite entry, or a
+    /// finite one whose `(v − mean) / std` overflows, would otherwise pass
+    /// the forward pass as a NaN that ReLU silently maps to 0.
     ///
     /// # Errors
     ///
@@ -227,10 +228,17 @@ impl Scorer {
                     row.len()
                 )));
             }
-            if let Some(column) = row.iter().position(|v| !v.is_finite()) {
+            // The same arithmetic as `Matrix::standardize` in `score_rows`.
+            let overflows = |c: usize| !((row[c] - self.mean[c]) / self.std[c]).is_finite();
+            if let Some(column) = (0..dim).find(|&c| overflows(c)) {
+                let value = row[column];
+                let why = if value.is_finite() {
+                    "which overflows once standardised"
+                } else {
+                    "not a finite number"
+                };
                 return Err(ServeError::BadInput(format!(
-                    "feature row {index} column {column} is {}, not a finite number",
-                    row[column]
+                    "feature row {index} column {column} is {value}, {why}"
                 )));
             }
         }

@@ -228,6 +228,25 @@ fn admission_control_and_error_bodies_speak_http() {
     let body: ErrorBody = serde_json::from_str(&response.body).expect("parse feature body");
     assert_eq!(body.request_id, "rid-inf");
     assert!(body.error.contains("row 0 column 3"), "{}", body.error);
+    // A finite value can still overflow once standardised: (3e38 − m) / s
+    // is infinite in f32 wherever the column's spread s is below about
+    // 0.88, as it is in column 4 here. That is a 400 too, not a 200.
+    let mut cells = vec!["0".to_string(); dim];
+    cells[4] = "3e38".to_string();
+    let response = http
+        .post_json(
+            "/score",
+            &format!(
+                r#"{{"request_id":"rid-big","features":[[{}]]}}"#,
+                cells.join(",")
+            ),
+        )
+        .expect("post overflowing feature");
+    assert_eq!(response.status, 400);
+    let body: ErrorBody = serde_json::from_str(&response.body).expect("parse overflow body");
+    assert_eq!(body.request_id, "rid-big");
+    assert!(body.error.contains("row 0 column 4"), "{}", body.error);
+    assert!(body.error.contains("standardised"), "{}", body.error);
     let mut pixels = vec!["0.5".to_string(); 16 * 16];
     pixels[2 * 16 + 5] = "-1e39".to_string();
     let response = http

@@ -10,21 +10,6 @@ use crate::file::CheckpointFile;
 use crate::snapshot::{decode_from_slice, encode_to_vec, RunMeta};
 use crate::{Restore, Snapshot, StoreError};
 
-/// Section names used by [`CheckpointBundle`], in file order.
-const SECTIONS: [&str; 11] = [
-    "meta",
-    "by_score",
-    "dataset",
-    "model",
-    "gmm",
-    "rng",
-    "oracle",
-    "history",
-    "telemetry",
-    "journal",
-    "progress",
-];
-
 /// Everything a process needs to continue an interrupted run exactly where
 /// it left off: the framework's [`RunCheckpoint`], the cumulative telemetry
 /// counters/gauges/histograms, the run-id watermark, the JSONL journal
@@ -82,9 +67,7 @@ impl CheckpointBundle {
             seed: self.run.seed,
             run_id: self.run.run_id,
             total: self.run.total,
-            temperature: self.run.temperature,
             ece_before: self.run.ece_before,
-            cold_batches: self.run.cold_batches,
             oracle_calls_before: self.run.oracle_calls_before,
             stats_before: self.run.stats_before,
             fault_stats: self.run.fault_stats,
@@ -93,8 +76,6 @@ impl CheckpointBundle {
         file.put("by_score", encode_to_vec(&self.run.by_score));
         file.put("dataset", encode_to_vec(&self.run.dataset));
         file.put("model", encode_to_vec(&self.run.model));
-        file.put("gmm", encode_to_vec(&self.run.gmm));
-        file.put("rng", encode_to_vec(&self.run.rng));
         file.put("oracle", encode_to_vec(&self.run.oracle));
         file.put("history", encode_to_vec(&self.run.history));
         let mut telemetry = crate::ByteWriter::new();
@@ -117,8 +98,6 @@ impl CheckpointBundle {
         let by_score = decode_from_slice(file.require("by_score")?, "by_score section")?;
         let dataset = decode_from_slice(file.require("dataset")?, "dataset section")?;
         let model = decode_from_slice(file.require("model")?, "model section")?;
-        let gmm = decode_from_slice(file.require("gmm")?, "gmm section")?;
-        let rng = decode_from_slice(file.require("rng")?, "rng section")?;
         let oracle = decode_from_slice(file.require("oracle")?, "oracle section")?;
         let history = decode_from_slice(file.require("history")?, "history section")?;
         let mut telemetry = crate::ByteReader::new(file.require("telemetry")?);
@@ -133,17 +112,13 @@ impl CheckpointBundle {
                 seed: meta.seed,
                 run_id: meta.run_id,
                 total: meta.total,
-                temperature: meta.temperature,
                 ece_before: meta.ece_before,
-                cold_batches: meta.cold_batches,
                 oracle_calls_before: meta.oracle_calls_before,
                 stats_before: meta.stats_before,
                 fault_stats: meta.fault_stats,
                 by_score,
                 dataset,
                 model,
-                gmm,
-                rng,
                 oracle,
                 history,
             },
@@ -152,11 +127,5 @@ impl CheckpointBundle {
             journal,
             progress,
         })
-    }
-
-    /// The section names a bundle writes, in order — exposed for docs and
-    /// diagnostics.
-    pub fn section_names() -> &'static [&'static str] {
-        &SECTIONS
     }
 }

@@ -20,7 +20,8 @@ pub enum StoreError {
     },
     /// The file does not start with the checkpoint magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build writes and
+    /// reads ([`crate::FORMAT_VERSION`]).
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,

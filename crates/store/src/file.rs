@@ -27,9 +27,10 @@ use crate::StoreError;
 /// First 8 bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LITHOCKP";
 
-/// Current checkpoint format version. Bump on any layout change; readers
-/// reject versions they do not understand rather than guessing.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current checkpoint format version. Bump on any layout change (section
+/// list or a section's encoding); readers reject versions they do not
+/// understand rather than guessing.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// An in-memory checkpoint file: an ordered list of named, independently
 /// checksummed sections.

@@ -9,10 +9,9 @@
 //!   dependencies, floats as raw IEEE-754 bits) plus the CRC32 used for
 //!   integrity.
 //! * [`Snapshot`] / [`Restore`] — (de)serialisation traits implemented for
-//!   every piece of run state: model weights and optimiser moments, the
-//!   calibrated temperature, mixture parameters, the dataset partition, the
-//!   RNG keystream position, the oracle cache and fault meters, and
-//!   cumulative telemetry.
+//!   every piece of run state the sampling loop reads back: model weights
+//!   and optimiser moments, the dataset partition, per-iteration history,
+//!   the oracle cache and fault meters, and cumulative telemetry.
 //! * [`CheckpointFile`] — a magic-tagged, versioned section container where
 //!   every section payload carries its own CRC32.
 //! * [`CheckpointStore`] — a directory of checkpoints committed via

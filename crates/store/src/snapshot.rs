@@ -2,24 +2,20 @@
 //! every piece of run state a checkpoint carries.
 //!
 //! Implementations exist for the framework's checkpoint types (dataset
-//! partition, model weights + optimiser moments, mixture parameters, RNG
-//! keystream position, oracle cache and meters, per-iteration history,
-//! fault tallies) and for the telemetry state that must survive a process
-//! boundary. Every impl round-trips bit-exactly: floats are stored as raw
-//! IEEE-754 bits, so `decode(encode(x)) == x` even for NaN payloads.
+//! partition, model weights + optimiser moments, oracle cache and meters,
+//! per-iteration history, fault tallies) and for the telemetry state that
+//! must survive a process boundary. Every impl round-trips bit-exactly:
+//! floats are stored as raw IEEE-754 bits, so `decode(encode(x)) == x` even
+//! for NaN payloads.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::StoreError;
-use hotspot_active::{
-    DatasetCheckpoint, IterationStats, ModelState, PshdMetrics, RunCheckpoint, RunFaultStats,
-};
-use hotspot_gmm::GaussianMixture;
+use hotspot_active::{DatasetCheckpoint, IterationStats, ModelState, RunFaultStats};
 use hotspot_litho::{
     FaultInjectionStats, FaultMeterState, Label, OracleStateSnapshot, OracleStats, RetryMeterState,
 };
 use hotspot_nn::NetworkSnapshot;
 use hotspot_telemetry::{HistogramState, JournalPosition, MetricsState};
-use rand_chacha::ChaChaStreamState;
 
 /// Deterministic binary encoding into a [`ByteWriter`]. Infallible: every
 /// in-memory value has an encoding.
@@ -288,7 +284,7 @@ impl Restore for OracleStateSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Framework types: dataset, model, mixture, history, metrics
+// Framework types: dataset, model, history
 // ---------------------------------------------------------------------------
 
 impl Snapshot for DatasetCheckpoint {
@@ -350,29 +346,6 @@ impl Restore for ModelState {
     }
 }
 
-impl Snapshot for GaussianMixture {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_usize(self.dim());
-        self.weights().to_vec().encode(w);
-        self.means().to_vec().encode(w);
-        self.variances().to_vec().encode(w);
-    }
-}
-
-impl Restore for GaussianMixture {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let dim = r.get_usize("gmm dim")?;
-        let weights: Vec<f64> = Vec::decode(r)?;
-        let means: Vec<f64> = Vec::decode(r)?;
-        let variances: Vec<f64> = Vec::decode(r)?;
-        GaussianMixture::from_parts(dim, weights, means, variances).map_err(|e| {
-            StoreError::Corrupt {
-                detail: format!("mixture parameters rejected: {e}"),
-            }
-        })
-    }
-}
-
 impl Snapshot for RunFaultStats {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_usize(self.label_failures);
@@ -421,73 +394,6 @@ impl Restore for IterationStats {
             train_loss: r.get_f64("iteration stats")?,
             ece: r.get_f64("iteration stats")?,
             failed_labels: r.get_usize("iteration stats")?,
-        })
-    }
-}
-
-impl Snapshot for PshdMetrics {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_f64(self.accuracy);
-        w.put_usize(self.litho);
-        w.put_usize(self.hits);
-        w.put_usize(self.false_alarms);
-        w.put_usize(self.train_hotspots);
-        w.put_usize(self.validation_hotspots);
-        w.put_usize(self.total_hotspots);
-        w.put_usize(self.train_size);
-        w.put_usize(self.validation_size);
-        w.put_usize(self.extra_simulations);
-    }
-}
-
-impl Restore for PshdMetrics {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        Ok(PshdMetrics {
-            accuracy: r.get_f64("pshd metrics")?,
-            litho: r.get_usize("pshd metrics")?,
-            hits: r.get_usize("pshd metrics")?,
-            false_alarms: r.get_usize("pshd metrics")?,
-            train_hotspots: r.get_usize("pshd metrics")?,
-            validation_hotspots: r.get_usize("pshd metrics")?,
-            total_hotspots: r.get_usize("pshd metrics")?,
-            train_size: r.get_usize("pshd metrics")?,
-            validation_size: r.get_usize("pshd metrics")?,
-            extra_simulations: r.get_usize("pshd metrics")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RNG keystream position
-// ---------------------------------------------------------------------------
-
-impl Snapshot for ChaChaStreamState {
-    fn encode(&self, w: &mut ByteWriter) {
-        for word in self.key {
-            w.put_u32(word);
-        }
-        w.put_u64(self.counter);
-        w.put_usize(self.index);
-    }
-}
-
-impl Restore for ChaChaStreamState {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let mut key = [0u32; 8];
-        for word in &mut key {
-            *word = r.get_u32("rng key")?;
-        }
-        let counter = r.get_u64("rng counter")?;
-        let index = r.get_usize("rng index")?;
-        if index > 16 {
-            return Err(StoreError::Corrupt {
-                detail: format!("rng buffer index {index} exceeds the 16-word block"),
-            });
-        }
-        Ok(ChaChaStreamState {
-            key,
-            counter,
-            index,
         })
     }
 }
@@ -555,21 +461,20 @@ impl Restore for JournalPosition {
 }
 
 // ---------------------------------------------------------------------------
-// The composite run checkpoint
+// The run checkpoint's scalar header
 // ---------------------------------------------------------------------------
 
-/// The scalar header of a [`RunCheckpoint`] — everything that is not one of
-/// the bulk sections. Kept as its own encoding unit so the bundle can give
-/// it a dedicated CRC-protected section.
+/// The scalar header of a [`RunCheckpoint`](hotspot_active::RunCheckpoint) —
+/// everything that is not one of the bulk sections. Kept as its own
+/// encoding unit so the bundle can give it a dedicated CRC-protected
+/// section.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunMeta {
     pub iteration: usize,
     pub seed: u64,
     pub run_id: u64,
     pub total: usize,
-    pub temperature: f64,
     pub ece_before: f64,
-    pub cold_batches: usize,
     pub oracle_calls_before: u64,
     pub stats_before: OracleStats,
     pub fault_stats: RunFaultStats,
@@ -581,9 +486,7 @@ impl Snapshot for RunMeta {
         w.put_u64(self.seed);
         w.put_u64(self.run_id);
         w.put_usize(self.total);
-        w.put_f64(self.temperature);
         w.put_f64(self.ece_before);
-        w.put_usize(self.cold_batches);
         w.put_u64(self.oracle_calls_before);
         self.stats_before.encode(w);
         self.fault_stats.encode(w);
@@ -597,62 +500,10 @@ impl Restore for RunMeta {
             seed: r.get_u64("run meta")?,
             run_id: r.get_u64("run meta")?,
             total: r.get_usize("run meta")?,
-            temperature: r.get_f64("run meta")?,
             ece_before: r.get_f64("run meta")?,
-            cold_batches: r.get_usize("run meta")?,
             oracle_calls_before: r.get_u64("run meta")?,
             stats_before: OracleStats::decode(r)?,
             fault_stats: RunFaultStats::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for RunCheckpoint {
-    fn encode(&self, w: &mut ByteWriter) {
-        RunMeta {
-            iteration: self.iteration,
-            seed: self.seed,
-            run_id: self.run_id,
-            total: self.total,
-            temperature: self.temperature,
-            ece_before: self.ece_before,
-            cold_batches: self.cold_batches,
-            oracle_calls_before: self.oracle_calls_before,
-            stats_before: self.stats_before,
-            fault_stats: self.fault_stats,
-        }
-        .encode(w);
-        self.by_score.encode(w);
-        self.dataset.encode(w);
-        self.model.encode(w);
-        self.gmm.encode(w);
-        self.rng.encode(w);
-        self.oracle.encode(w);
-        self.history.encode(w);
-    }
-}
-
-impl Restore for RunCheckpoint {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let meta = RunMeta::decode(r)?;
-        Ok(RunCheckpoint {
-            iteration: meta.iteration,
-            seed: meta.seed,
-            run_id: meta.run_id,
-            total: meta.total,
-            temperature: meta.temperature,
-            ece_before: meta.ece_before,
-            cold_batches: meta.cold_batches,
-            oracle_calls_before: meta.oracle_calls_before,
-            stats_before: meta.stats_before,
-            fault_stats: meta.fault_stats,
-            by_score: Vec::decode(r)?,
-            dataset: DatasetCheckpoint::decode(r)?,
-            model: ModelState::decode(r)?,
-            gmm: GaussianMixture::decode(r)?,
-            rng: ChaChaStreamState::decode(r)?,
-            oracle: Option::decode(r)?,
-            history: Vec::decode(r)?,
         })
     }
 }

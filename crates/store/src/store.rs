@@ -10,7 +10,8 @@
 //! manifest rewrite loses nothing. If a checkpoint is torn anyway (power
 //! loss on a filesystem that reorders the rename before the data blocks),
 //! the per-section CRCs catch it and [`CheckpointStore::load_latest`] falls
-//! back to the newest checkpoint that still validates.
+//! back to the newest checkpoint that still validates. A checkpoint written
+//! in another format version is not torn, so it is never skipped that way.
 
 use std::fs;
 use std::io::Write;
@@ -200,7 +201,10 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Never fails on corrupt checkpoints — those are skipped with a
-    /// warning. Only unexpected I/O errors on an existing file propagate.
+    /// warning. [`StoreError::UnsupportedVersion`] propagates: a file from
+    /// another format version committed whole, and skipping it would
+    /// silently restart a run that was further along. Unexpected I/O errors
+    /// on an existing file propagate too.
     pub fn load_latest(&self) -> Result<Option<(u64, CheckpointFile)>, StoreError> {
         for &key in self.keys.iter().rev() {
             let bytes = match fs::read(self.path_for(key)) {
@@ -210,6 +214,7 @@ impl CheckpointStore {
             };
             match CheckpointFile::decode(&bytes) {
                 Ok(file) => return Ok(Some((key, file))),
+                Err(e @ StoreError::UnsupportedVersion { .. }) => return Err(e),
                 Err(e) => {
                     telemetry::counter(telemetry::names::CHECKPOINT_CORRUPT_SKIPPED).incr();
                     telemetry::warn(
@@ -245,6 +250,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FORMAT_VERSION;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -332,6 +338,31 @@ mod tests {
             telemetry::counter(telemetry::names::CHECKPOINT_CORRUPT_SKIPPED).get(),
             before + 1
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_of_another_format_version_is_an_error_not_a_skip() {
+        let dir = temp_dir("version");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.save(1, &file_with(1)).unwrap();
+        store.save(2, &file_with(2)).unwrap();
+
+        // Rewrite the newest checkpoint's version field, as a build with a
+        // different format would have written it.
+        let path = dir.join(checkpoint_file_name(2));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        assert!(matches!(
+            store.load_latest(),
+            Err(StoreError::UnsupportedVersion { found }) if found == FORMAT_VERSION - 1
+        ));
+        assert!(matches!(
+            store.load_latest_bundle(),
+            Err(StoreError::UnsupportedVersion { .. })
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

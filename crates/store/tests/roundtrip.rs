@@ -2,10 +2,7 @@
 //! section type, and a full [`CheckpointBundle`] survives the file format
 //! and the store.
 
-use hotspot_active::{
-    DatasetCheckpoint, IterationStats, ModelState, PshdMetrics, RunCheckpoint, RunFaultStats,
-};
-use hotspot_gmm::GaussianMixture;
+use hotspot_active::{DatasetCheckpoint, IterationStats, ModelState, RunCheckpoint, RunFaultStats};
 use hotspot_litho::{
     FaultInjectionStats, FaultMeterState, Label, OracleStateSnapshot, OracleStats, RetryMeterState,
 };
@@ -15,7 +12,6 @@ use hotspot_store::{
 };
 use hotspot_telemetry::{HistogramState, JournalPosition, MetricsState};
 use proptest::prelude::*;
-use rand_chacha::ChaChaStreamState;
 
 fn round_trip<T>(value: &T) -> T
 where
@@ -30,10 +26,6 @@ fn label(hot: bool) -> Label {
     } else {
         Label::NonHotspot
     }
-}
-
-fn cycle<T: Copy>(pool: &[T], n: usize) -> Vec<T> {
-    (0..n).map(|i| pool[i % pool.len()]).collect()
 }
 
 proptest! {
@@ -120,41 +112,6 @@ proptest! {
     }
 
     #[test]
-    fn gmm_round_trips(
-        (dim, k) in (1usize..4, 1usize..4),
-        weights in proptest::collection::vec(0.01f64..1.0, 1..8),
-        means in proptest::collection::vec(-10.0f64..10.0, 1..8),
-        variances in proptest::collection::vec(0.1f64..5.0, 1..8),
-    ) {
-        let v = GaussianMixture::from_parts(
-            dim,
-            cycle(&weights, k),
-            cycle(&means, k * dim),
-            cycle(&variances, k * dim),
-        )
-        .expect("constructed parameters are valid");
-        let rt = round_trip(&v);
-        prop_assert_eq!(rt.dim(), v.dim());
-        prop_assert_eq!(rt.weights(), v.weights());
-        prop_assert_eq!(rt.means(), v.means());
-        prop_assert_eq!(rt.variances(), v.variances());
-    }
-
-    #[test]
-    fn rng_stream_state_round_trips(
-        key_lo in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        key_hi in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        (counter, index) in (any::<u64>(), 0usize..=16),
-    ) {
-        let v = ChaChaStreamState {
-            key: [key_lo.0, key_lo.1, key_lo.2, key_lo.3, key_hi.0, key_hi.1, key_hi.2, key_hi.3],
-            counter,
-            index,
-        };
-        prop_assert_eq!(round_trip(&v), v);
-    }
-
-    #[test]
     fn iteration_stats_round_trip(
         (iteration, labeled_size, batch_hotspots, failed_labels) in
             (1usize..100, 0usize..10_000, 0usize..100, 0usize..100),
@@ -170,28 +127,6 @@ proptest! {
             train_loss,
             ece,
             failed_labels,
-        };
-        prop_assert_eq!(round_trip(&v), v);
-    }
-
-    #[test]
-    fn pshd_metrics_round_trip(
-        accuracy in 0.0f64..=1.0,
-        (litho, hits, false_alarms) in (any::<u64>(), any::<u64>(), any::<u64>()),
-        sizes in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (validation_size, extra) in (any::<u64>(), any::<u64>()),
-    ) {
-        let v = PshdMetrics {
-            accuracy,
-            litho: litho as usize,
-            hits: hits as usize,
-            false_alarms: false_alarms as usize,
-            train_hotspots: sizes.0 as usize,
-            validation_hotspots: sizes.1 as usize,
-            total_hotspots: sizes.2 as usize,
-            train_size: sizes.3 as usize,
-            validation_size: validation_size as usize,
-            extra_simulations: extra as usize,
         };
         prop_assert_eq!(round_trip(&v), v);
     }
@@ -270,9 +205,6 @@ fn sample_checkpoint(seed: u64) -> RunCheckpoint {
             },
             steps_trained: 420,
         },
-        gmm: GaussianMixture::from_parts(2, vec![0.6, 0.4], vec![0.0, 1.0, 2.0, 3.0], vec![1.0; 4])
-            .expect("valid mixture"),
-        temperature: 1.7,
         ece_before: 0.21,
         history: vec![IterationStats {
             iteration: 1,
@@ -284,15 +216,9 @@ fn sample_checkpoint(seed: u64) -> RunCheckpoint {
             ece: 0.05,
             failed_labels: 0,
         }],
-        cold_batches: 1,
         fault_stats: RunFaultStats::default(),
         stats_before: OracleStats::default(),
         oracle_calls_before: 11,
-        rng: ChaChaStreamState {
-            key: [9; 8],
-            counter: 123,
-            index: 7,
-        },
         oracle: Some(OracleStateSnapshot {
             cache: vec![(1, Label::Hotspot), (3, Label::NonHotspot)],
             total: 6,
@@ -339,12 +265,4 @@ fn full_bundle_survives_file_and_store() {
         bundle
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn run_checkpoint_round_trips_directly() {
-    let cp = sample_checkpoint(7);
-    let restored: RunCheckpoint =
-        decode_from_slice(&encode_to_vec(&cp), "run checkpoint").expect("decodes");
-    assert_eq!(restored, cp);
 }
