@@ -17,10 +17,10 @@
 //! This binary doubles as the sharding chaos harness: `--workers <n>`
 //! shards every labelling batch across N oracle worker threads, and
 //! `--kill-shard <i>@<k>` murders worker `i` on the `k`-th labelling batch
-//! of every run. Dead-shard recovery (checkpoint salvage plus deterministic
-//! recomputation of the orphaned clips) makes the murdered campaign finish
-//! with exactly the Litho# accounting and canonical-journal bytes of the
-//! undisturbed one — the CI chaos job asserts precisely that.
+//! of every run. Dead-shard recovery (deterministic recomputation of the
+//! lost worker's clips) makes the murdered campaign finish with exactly the
+//! Litho# accounting and canonical-journal bytes of the undisturbed one —
+//! the CI chaos job asserts precisely that.
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{

@@ -538,8 +538,8 @@ fn render_shard_incidents(journal: &Journal) -> Option<String> {
     if incidents.is_empty() {
         return None;
     }
-    // shard -> (dead, hung, salvaged, orphaned).
-    let mut by_shard: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
+    // shard -> (dead, hung, orphaned).
+    let mut by_shard: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
     for incident in &incidents {
         let entry = by_shard.entry(incident.shard).or_default();
         if incident.dead {
@@ -547,8 +547,7 @@ fn render_shard_incidents(journal: &Journal) -> Option<String> {
         } else {
             entry.1 += 1;
         }
-        entry.2 += incident.salvaged;
-        entry.3 += incident.orphaned;
+        entry.2 += incident.orphaned;
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -558,13 +557,10 @@ fn render_shard_incidents(journal: &Journal) -> Option<String> {
         if incidents.len() == 1 { "" } else { "s" },
     );
     let _ = writeln!(out);
-    let _ = writeln!(out, "| shard | dead | hung | salvaged | reassigned |");
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|");
-    for (shard, (dead, hung, salvaged, orphaned)) in &by_shard {
-        let _ = writeln!(
-            out,
-            "| {shard} | {dead} | {hung} | {salvaged} | {orphaned} |"
-        );
+    let _ = writeln!(out, "| shard | dead | hung | reassigned |");
+    let _ = writeln!(out, "|---:|---:|---:|---:|");
+    for (shard, (dead, hung, orphaned)) in &by_shard {
+        let _ = writeln!(out, "| {shard} | {dead} | {hung} | {orphaned} |");
     }
     Some(out)
 }
@@ -865,15 +861,15 @@ mod tests {
     #[test]
     fn shard_incidents_render_per_shard_not_aggregated() {
         let text = concat!(
-            r#"{"type":"event","target":"shard.coordinator","message":"shard worker lost","batch":2,"shard":1,"dead":true,"salvaged":3,"orphaned":2}"#,
+            r#"{"type":"event","target":"shard.coordinator","message":"shard worker lost","batch":2,"shard":1,"dead":true,"orphaned":2}"#,
             "\n",
-            r#"{"type":"event","target":"shard.coordinator","message":"shard worker lost","batch":4,"shard":2,"dead":false,"salvaged":0,"orphaned":6}"#,
+            r#"{"type":"event","target":"shard.coordinator","message":"shard worker lost","batch":4,"shard":2,"dead":false,"orphaned":6}"#,
             "\n",
         );
         let section = render_shard_incidents(&Journal::parse_str(text)).unwrap();
         assert!(section.contains("2 workers lost"));
-        assert!(section.contains("| 1 | 1 | 0 | 3 | 2 |"));
-        assert!(section.contains("| 2 | 0 | 1 | 0 | 6 |"));
+        assert!(section.contains("| 1 | 1 | 0 | 2 |"));
+        assert!(section.contains("| 2 | 0 | 1 | 6 |"));
         assert!(render_shard_incidents(&Journal::parse_str("")).is_none());
     }
 

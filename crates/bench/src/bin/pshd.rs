@@ -66,7 +66,6 @@ fn main() {
             shard: Some(ShardSpec {
                 workers,
                 kill: None,
-                dir: None,
             }),
             repeats: args.repeats,
             ..RunPlan::new(ActiveMethod::Ours)

@@ -283,8 +283,9 @@ impl ExperimentArgs {
 
     /// The run plan these flags ask for: `method` averaged over `--repeats`
     /// runs, sharded across `--workers` threads when given (with the
-    /// `--kill-shard` chaos and, under `--checkpoint-dir`, a `shards/`
-    /// commit subdirectory next to the run checkpoints).
+    /// `--kill-shard` chaos). `--checkpoint-dir` does not enter the plan: it
+    /// is read by the [`CheckpointedSequence`](crate::CheckpointedSequence)
+    /// the caller drives the plan through.
     pub fn plan(&self, method: ActiveMethod) -> RunPlan {
         let shard = self.workers.map(|workers| ShardSpec {
             workers,
@@ -293,7 +294,6 @@ impl ExperimentArgs {
                 batch,
                 mode: FailureMode::Panic,
             }),
-            dir: self.checkpoint_dir.as_ref().map(|d| d.join("shards")),
         });
         RunPlan {
             shard,

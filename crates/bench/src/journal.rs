@@ -152,8 +152,7 @@ pub struct BenchmarkRecord {
 }
 
 /// One `shard worker lost` journal event: a labelling worker that panicked
-/// or hung mid-batch, with what the coordinator salvaged from the worker's
-/// checkpoint commits and how many clips it had to reassign.
+/// or hung mid-batch, and how many clips the coordinator had to reassign.
 ///
 /// Canonical journals withhold the `shard.coordinator` target, so this list
 /// is empty there by design; provenance (non-canonical) journals keep the
@@ -167,8 +166,6 @@ pub struct ShardIncidentRecord {
     /// `true` when the worker panicked; `false` when it hung past the
     /// coordinator's deadline.
     pub dead: bool,
-    /// Outcomes recovered from the worker's checkpoint commits.
-    pub salvaged: u64,
     /// Clips reassigned to a recovery round.
     pub orphaned: u64,
 }
@@ -342,7 +339,6 @@ impl Journal {
                     batch: get_u64(event, "batch")?,
                     shard: get_u64(event, "shard")?,
                     dead: event.get("dead").and_then(Value::as_bool).unwrap_or(true),
-                    salvaged: get_u64(event, "salvaged").unwrap_or(0),
                     orphaned: get_u64(event, "orphaned").unwrap_or(0),
                 })
             })
@@ -746,9 +742,9 @@ mod tests {
     #[test]
     fn shard_incidents_are_typed_and_keep_journal_order() {
         let text = concat!(
-            r#"{"type":"event","seq":0,"target":"shard.coordinator","message":"shard worker lost","batch":2,"shard":1,"dead":true,"salvaged":3,"orphaned":2}"#,
+            r#"{"type":"event","seq":0,"target":"shard.coordinator","message":"shard worker lost","batch":2,"shard":1,"dead":true,"orphaned":2}"#,
             "\n",
-            r#"{"type":"event","seq":1,"target":"shard.coordinator","message":"shard worker lost","batch":5,"shard":0,"dead":false,"salvaged":0,"orphaned":7}"#,
+            r#"{"type":"event","seq":1,"target":"shard.coordinator","message":"shard worker lost","batch":5,"shard":0,"dead":false,"orphaned":7}"#,
             "\n",
         );
         let journal = Journal::parse_str(text);
@@ -757,7 +753,6 @@ mod tests {
         assert_eq!(incidents[0].batch, 2);
         assert_eq!(incidents[0].shard, 1);
         assert!(incidents[0].dead);
-        assert_eq!(incidents[0].salvaged, 3);
         assert_eq!(incidents[0].orphaned, 2);
         assert!(!incidents[1].dead);
         assert_eq!(incidents[1].orphaned, 7);

@@ -6,13 +6,12 @@ use hotspot_litho::{
 };
 use hotspot_shard::{KillSpec, ShardConfig, ShardedOracle};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::checkpoint::{CheckpointedSequence, RunRecord};
 
 /// How a sharded run fans its labelling batches out — built from
-/// `--workers` / `--kill-shard` / `--checkpoint-dir` by
+/// `--workers` / `--kill-shard` by
 /// [`crate::ExperimentArgs::plan`]. The merged labels, Litho#, and
 /// canonical journal are byte-identical for every worker count and for any
 /// chaos the recovery path absorbed.
@@ -23,9 +22,6 @@ pub struct ShardSpec {
     /// Optional chaos injection (applies to every run of the binary — each
     /// run builds a fresh sharded oracle, so the spec fires once per run).
     pub kill: Option<KillSpec>,
-    /// Per-shard checkpoint-commit directory; lost workers are salvaged
-    /// from it. `None` recovers by recomputation instead.
-    pub dir: Option<PathBuf>,
 }
 
 impl ShardSpec {
@@ -33,9 +29,6 @@ impl ShardSpec {
         let mut config = ShardConfig::new(self.workers).with_stream_seed(seed ^ 0x5a4d_0001);
         if let Some(kill) = self.kill {
             config = config.with_kill(kill);
-        }
-        if let Some(dir) = &self.dir {
-            config = config.with_dir(dir);
         }
         config
     }

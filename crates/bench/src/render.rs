@@ -242,31 +242,29 @@ fn run_label(
 }
 
 /// Per-shard fault-count panels from the coordinator's incident log: how
-/// often each shard's worker was lost (dead or hung), how many outcomes its
-/// checkpoint commits salvaged, and how many clips were reassigned to
-/// recovery rounds. `None` when the journal recorded no incidents.
+/// often each shard's worker was lost (dead or hung) and how many clips
+/// were reassigned to recovery rounds. `None` when the journal recorded no
+/// incidents.
 fn shard_health(incidents: &[ShardIncidentRecord]) -> Option<String> {
     if incidents.is_empty() {
         return None;
     }
-    // shard -> (workers lost, outcomes salvaged, clips orphaned).
-    let mut by_shard: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+    // shard -> (workers lost, clips orphaned).
+    let mut by_shard: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for incident in incidents {
         let entry = by_shard.entry(incident.shard).or_default();
         entry.0 += 1;
-        entry.1 += incident.salvaged;
-        entry.2 += incident.orphaned;
+        entry.1 += incident.orphaned;
     }
-    let bars = |pick: fn(&(u64, u64, u64)) -> u64| -> Vec<(String, f64)> {
+    let bars = |pick: fn(&(u64, u64)) -> u64| -> Vec<(String, f64)> {
         by_shard
             .iter()
             .map(|(shard, counts)| (format!("shard {shard}"), pick(counts) as f64))
             .collect()
     };
-    let mut svg = Svg::new(3.0 * 420.0, 260.0);
+    let mut svg = Svg::new(2.0 * 420.0, 260.0);
     BarChart::new("workers lost", "incidents", bars(|c| c.0)).render_into(&mut svg, 0.0, 0.0);
-    BarChart::new("outcomes salvaged", "clips", bars(|c| c.1)).render_into(&mut svg, 420.0, 0.0);
-    BarChart::new("clips reassigned", "clips", bars(|c| c.2)).render_into(&mut svg, 840.0, 0.0);
+    BarChart::new("clips reassigned", "clips", bars(|c| c.1)).render_into(&mut svg, 420.0, 0.0);
     Some(svg.finish())
 }
 
@@ -778,19 +776,17 @@ mod tests {
     #[test]
     fn shard_health_aggregates_per_shard_and_is_deterministic() {
         assert!(shard_health(&[]).is_none());
-        let incident = |shard: u64, salvaged: u64, orphaned: u64| ShardIncidentRecord {
+        let incident = |shard: u64, orphaned: u64| ShardIncidentRecord {
             batch: 1,
             shard,
             dead: true,
-            salvaged,
             orphaned,
         };
-        let incidents = [incident(1, 3, 2), incident(0, 0, 5), incident(1, 1, 0)];
+        let incidents = [incident(1, 2), incident(0, 5), incident(1, 1)];
         let a = shard_health(&incidents).unwrap();
         let b = shard_health(&incidents).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("workers lost"));
-        assert!(a.contains("outcomes salvaged"));
         assert!(a.contains("clips reassigned"));
         assert!(a.contains("shard 0") && a.contains("shard 1"));
     }

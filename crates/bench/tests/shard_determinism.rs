@@ -8,8 +8,8 @@
 //! 1. `--workers 1` and `--workers 4` write byte-identical canonical
 //!    journals and identical results (worker-count invariance).
 //! 2. A campaign whose worker is murdered mid-batch (`--kill-shard`)
-//!    recovers via checkpoint salvage + reassignment and finishes equal to
-//!    the undisturbed campaign (dead-shard recovery).
+//!    recomputes the lost worker's clips in a recovery round and finishes
+//!    equal to the undisturbed campaign (dead-shard recovery).
 //! 3. A sharded run crashed after a checkpoint commit and resumed equals
 //!    the uninterrupted sharded run (sharding composes with durable runs).
 
@@ -139,9 +139,9 @@ fn murdered_worker_campaign_matches_the_undisturbed_one() {
     assert!(status.success(), "undisturbed faults exited with {status}");
     let calm_results = std::fs::read(out.join("faults.json")).expect("read undisturbed results");
 
-    // Murder worker 1 on the second labelling batch of every run. The
-    // checkpoint dir gives the killed worker a commit substrate, so
-    // recovery exercises salvage-from-disk, not just recomputation.
+    // Murder worker 1 on the second labelling batch of every run, with run
+    // checkpoints on: recovery recomputes the lost sub-batch while the
+    // runs checkpoint around it, and writes nothing of its own to disk.
     let ckpt = dir.join("ckpt");
     let status = faults(
         &out,
@@ -156,6 +156,10 @@ fn murdered_worker_campaign_matches_the_undisturbed_one() {
         ],
     );
     assert!(status.success(), "murdered faults exited with {status}");
+    assert!(
+        !ckpt.join("shards").exists(),
+        "dead-shard recovery must not write shard state"
+    );
     let murdered_results = std::fs::read(out.join("faults.json")).expect("read murdered results");
 
     let a = read_journal(&calm);

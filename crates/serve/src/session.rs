@@ -6,7 +6,6 @@
 //! <root>/<id>/spec.json       campaign parameters (immutable after create)
 //! <root>/<id>/ckpt/           CheckpointStore of per-iteration bundles
 //! <root>/<id>/journal.jsonl   canonical run journal
-//! <root>/<id>/shards/step-N/  per-step shard commit stores
 //! <root>/<id>/done.json       final metrics, written when the campaign ends
 //! ```
 //!
@@ -406,12 +405,8 @@ impl Runner {
                 .map_err(ServeError::BadInput)?
                 .selector();
             let bench_for_factory = Arc::clone(&bench);
-            // Fresh shard dir per step: commit ordinals restart with every
-            // ShardedOracle, and a stale same-ordinal commit from an earlier
-            // step must never be salvageable.
-            let shard_config = ShardConfig::new(spec.workers)
-                .with_stream_seed(spec.seed ^ 0x5a4d_0001)
-                .with_dir(dir.join("shards").join(format!("step-{next_iteration}")));
+            let shard_config =
+                ShardConfig::new(spec.workers).with_stream_seed(spec.seed ^ 0x5a4d_0001);
             let mut oracle = ShardedOracle::new(
                 bench.oracle(),
                 move |_shard, _jitter| bench_for_factory.oracle(),

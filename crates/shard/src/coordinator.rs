@@ -1,14 +1,12 @@
 //! The shard coordinator: fan-out, dead/hung-shard recovery, and the
 //! deterministic merge.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hotspot_litho::{Label, LithoOracle, OracleError, OracleStateSnapshot, OracleStats};
-use hotspot_store::{decode_from_slice, encode_to_vec, CheckpointFile, CheckpointStore};
 use hotspot_telemetry as telemetry;
 use hotspot_telemetry::{Clock, SystemClock};
 use rand_chacha::{ChaCha8Rng, RngCore, SeedableRng};
@@ -18,8 +16,8 @@ use crate::ClipOutcome;
 /// How a chaos-injected worker failure manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureMode {
-    /// The worker panics after committing its first assigned clip,
-    /// exercising salvage-from-checkpoint plus reassignment of the rest.
+    /// The worker panics after labelling its first assigned clip; its
+    /// whole sub-batch is recomputed by the recovery round.
     Panic,
     /// The worker blocks forever before touching any clip, exercising the
     /// coordinator's poll deadline and full-sub-batch reassignment.
@@ -44,11 +42,6 @@ pub struct ShardConfig {
     /// Worker threads per labelling batch (≥ 1). The merged results are
     /// byte-identical for every value.
     pub workers: usize,
-    /// Directory for per-shard checkpoint commits (`<dir>/shard-<i>/`).
-    /// `None` disables commits; dead-shard recovery then recomputes
-    /// orphaned clips instead of salvaging them — by purity the merged
-    /// result is identical either way.
-    pub dir: Option<PathBuf>,
     /// Seed of the coordinator's ChaCha8 stream; per-shard streams are
     /// split off it via the `stream_state` key-perturbation, feeding each
     /// worker's retry-jitter seed (jitter shapes backoff sleeps only,
@@ -64,23 +57,16 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// A default configuration for `workers` threads: no commit directory,
-    /// 1 ms polls with a 10-minute deadline, no chaos.
+    /// A default configuration for `workers` threads: 1 ms polls with a
+    /// 10-minute deadline, no chaos.
     pub fn new(workers: usize) -> Self {
         ShardConfig {
             workers: workers.max(1),
-            dir: None,
             stream_seed: 0,
             poll_interval: Duration::from_millis(1),
             deadline_polls: 600_000,
             kill: None,
         }
-    }
-
-    /// Enables per-shard checkpoint commits under `dir`.
-    pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = Some(dir.into());
-        self
     }
 
     /// Seeds the per-shard jitter streams.
@@ -101,8 +87,6 @@ impl ShardConfig {
         self
     }
 }
-
-const OUTCOME_SECTION: &str = "shard.outcomes";
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -225,7 +209,6 @@ fn worker_run<O: LithoOracle>(
     mut oracle: O,
     shard: usize,
     clips: Vec<usize>,
-    mut committer: Option<ShardCommitter>,
     kill: Option<FailureMode>,
     handoff: Option<telemetry::TraceHandoff>,
 ) -> (Vec<ClipOutcome>, Vec<telemetry::TraceRecord>) {
@@ -247,76 +230,13 @@ fn worker_run<O: LithoOracle>(
         let result = oracle.try_query(clip);
         let after = oracle.state_snapshot().unwrap_or_default();
         outcomes.push(ClipOutcome::from_diff(clip, result, &before, &after));
-        if let Some(committer) = committer.as_mut() {
-            committer.commit(&outcomes);
-        }
         if kill == Some(FailureMode::Panic) {
             // lithohd-lint: allow(panic-safety) — deliberate chaos injection; the coordinator captures the panic
-            panic!("chaos kill: shard worker murdered after first commit");
+            panic!("chaos kill: shard worker murdered after its first clip");
         }
     }
     drop(span);
     (outcomes, telemetry::trace::harvest())
-}
-
-/// Per-shard checkpoint committer: after every clip the worker's outcomes
-/// so far are committed through the store's tmp+fsync+rename protocol, so
-/// whatever a dead worker finished is salvageable from disk.
-struct ShardCommitter {
-    store: CheckpointStore,
-    shard: u64,
-    ordinal: u64,
-    seq: u64,
-}
-
-fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}"))
-}
-
-impl ShardCommitter {
-    fn open(dir: &Path, shard: usize, ordinal: u64) -> Option<ShardCommitter> {
-        let store = CheckpointStore::open(shard_dir(dir, shard)).ok()?;
-        Some(ShardCommitter {
-            store,
-            shard: shard as u64,
-            ordinal,
-            seq: 0,
-        })
-    }
-
-    fn commit(&mut self, outcomes: &[ClipOutcome]) {
-        self.seq += 1;
-        let mut file = CheckpointFile::new();
-        file.put(
-            OUTCOME_SECTION,
-            encode_to_vec(&(self.ordinal, self.shard, outcomes.to_vec())),
-        );
-        // Best-effort: a failed commit only shrinks what a recovery can
-        // salvage; reassignment recomputes the remainder identically.
-        let _ = self.store.save((self.ordinal << 20) | self.seq, &file);
-    }
-}
-
-/// Loads the outcomes a lost worker committed for the current batch, if any.
-fn salvage(dir: &Path, shard: usize, ordinal: u64) -> Vec<ClipOutcome> {
-    let Ok(store) = CheckpointStore::open(shard_dir(dir, shard)) else {
-        return Vec::new();
-    };
-    let Ok(Some((_key, file))) = store.load_latest() else {
-        return Vec::new();
-    };
-    let Some(payload) = file.get(OUTCOME_SECTION) else {
-        return Vec::new();
-    };
-    let Ok((saved_ordinal, saved_shard, outcomes)) =
-        decode_from_slice::<(u64, u64, Vec<ClipOutcome>)>(payload, "shard outcomes")
-    else {
-        return Vec::new();
-    };
-    if saved_ordinal != ordinal || saved_shard != shard as u64 {
-        return Vec::new(); // stale commit from an earlier batch
-    }
-    outcomes
 }
 
 impl<O, F, C> ShardedOracle<O, F, C>
@@ -329,7 +249,6 @@ where
     /// outcomes and the clips lost to dead or hung workers. `blocking`
     /// joins every worker unconditionally (recovery rounds have no chaos
     /// left, so a bounded deadline would only add nondeterminism).
-    #[allow(clippy::too_many_arguments)]
     fn run_round(
         &mut self,
         clips: &[usize],
@@ -337,7 +256,6 @@ where
         ordinal: u64,
         seeds: &[u64],
         kill: Option<KillSpec>,
-        commit_dir: Option<&Path>,
         blocking: bool,
     ) -> (Vec<ClipOutcome>, Vec<usize>) {
         let shards = self.config.workers.min(clips.len()).max(1);
@@ -353,10 +271,9 @@ where
             let restored = oracle.restore_state(pre);
             debug_assert!(restored, "factory oracle must accept the master snapshot");
             let mode = kill.and_then(|k| (k.shard == shard).then_some(k.mode));
-            let committer = commit_dir.and_then(|dir| ShardCommitter::open(dir, shard, ordinal));
             let sub = sub.clone();
             handles.push(std::thread::spawn(move || {
-                worker_run(oracle, shard, sub, committer, mode, handoff)
+                worker_run(oracle, shard, sub, mode, handoff)
             }));
         }
 
@@ -399,23 +316,12 @@ where
                 }
             }
             // A dead (panicked) or hung (deadline-exceeded, now detached)
-            // worker: salvage whatever it committed, orphan the rest.
+            // worker: its whole sub-batch is orphaned.
             if dead {
                 telemetry::counter(telemetry::names::SHARD_WORKERS_DEAD).incr();
             } else {
                 telemetry::counter(telemetry::names::SHARD_WORKERS_HUNG).incr();
             }
-            let salvaged = commit_dir
-                .map(|dir| salvage(dir, shard, ordinal))
-                .unwrap_or_default();
-            telemetry::counter(telemetry::names::SHARD_OUTCOMES_SALVAGED)
-                .add(salvaged.len() as u64);
-            let covered: BTreeSet<usize> = salvaged.iter().map(|o| o.clip).collect();
-            let orphans: Vec<usize> = sub
-                .iter()
-                .copied()
-                .filter(|clip| !covered.contains(clip))
-                .collect();
             telemetry::warn(
                 "shard.coordinator",
                 telemetry::names::EVENT_SHARD_WORKER_LOST,
@@ -423,12 +329,10 @@ where
                     ("batch", ordinal.into()),
                     ("shard", (shard as u64).into()),
                     ("dead", dead.into()),
-                    ("salvaged", (salvaged.len() as u64).into()),
-                    ("orphaned", (orphans.len() as u64).into()),
+                    ("orphaned", (sub.len() as u64).into()),
                 ],
             );
-            outcomes.extend(salvaged);
-            lost.extend(orphans);
+            lost.extend_from_slice(sub);
         }
         (outcomes, lost)
     }
@@ -473,17 +377,8 @@ where
         let started = std::time::Instant::now();
         telemetry::counter(telemetry::names::SHARD_BATCHES).incr();
         let seeds = self.shard_jitter_seeds();
-        let commit_dir = self.config.dir.clone();
 
-        let (mut outcomes, lost) = self.run_round(
-            indices,
-            &pre,
-            ordinal,
-            &seeds,
-            kill,
-            commit_dir.as_deref(),
-            false,
-        );
+        let (mut outcomes, lost) = self.run_round(indices, &pre, ordinal, &seeds, kill, false);
         if !lost.is_empty() {
             // Reassign orphaned clips to a fresh recovery round. Purity of
             // the per-clip schedule makes the recomputed outcomes identical
@@ -497,8 +392,7 @@ where
                     ("clips", (lost.len() as u64).into()),
                 ],
             );
-            let (recovered, abandoned) =
-                self.run_round(&lost, &pre, ordinal, &seeds, None, None, true);
+            let (recovered, abandoned) = self.run_round(&lost, &pre, ordinal, &seeds, None, true);
             outcomes.extend(recovered);
             // Graceful degradation: clips even the recovery round lost
             // become un-billed transient failures, which the framework
@@ -679,41 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_worker_recovers_to_the_undisturbed_state() {
-        let n = 16;
-        let mut undisturbed = sharded_faulty(n, ShardConfig::new(3).with_stream_seed(5));
-        let undisturbed_results: Vec<_> = BATCHES
-            .iter()
-            .map(|b| undisturbed.try_query_batch(b))
-            .collect();
-
-        let dir = std::env::temp_dir().join(format!("lithohd-shard-kill-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let kill = KillSpec {
-            shard: 1,
-            batch: 3,
-            mode: FailureMode::Panic,
-        };
-        let mut chaotic = sharded_faulty(
-            n,
-            ShardConfig::new(3)
-                .with_stream_seed(5)
-                .with_dir(&dir)
-                .with_kill(kill),
-        );
-        let chaotic_results: Vec<_> = BATCHES.iter().map(|b| chaotic.try_query_batch(b)).collect();
-
-        assert_eq!(undisturbed_results, chaotic_results);
-        assert_eq!(
-            undisturbed.state_snapshot().unwrap(),
-            chaotic.state_snapshot().unwrap()
-        );
-        assert_eq!(undisturbed.stats(), chaotic.stats());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn killed_worker_without_commit_dir_recomputes_identically() {
+    fn killed_worker_recomputes_to_the_undisturbed_state() {
         let n = 16;
         let mut undisturbed = sharded_faulty(n, ShardConfig::new(4).with_stream_seed(9));
         let undisturbed_results: Vec<_> = BATCHES
@@ -735,6 +595,7 @@ mod tests {
             undisturbed.state_snapshot().unwrap(),
             chaotic.state_snapshot().unwrap()
         );
+        assert_eq!(undisturbed.stats(), chaotic.stats());
     }
 
     #[test]

@@ -22,16 +22,15 @@
 //!    any worker count. This holds because the seeded fault schedule is a
 //!    pure function of `(fault seed, clip, attempt)` and each clip's oracle
 //!    interaction touches only that clip's cache entry and attempt counter.
-//! 4. **Recovers dead or hung shards**: workers commit their outcomes after
-//!    every clip through per-shard [`hotspot_store::CheckpointStore`]
-//!    atomic-rename commits; the coordinator captures panics, bounds each
-//!    shard by a poll deadline over the injectable
-//!    [`hotspot_telemetry::Clock`], salvages committed outcomes from a lost
-//!    worker's store, and reassigns the orphaned remainder to a fresh
-//!    recovery round. Purity makes a salvaged outcome identical to a
-//!    recomputed one, so a murdered worker leaves no trace in the merged
-//!    state. Clips no round could label degrade gracefully to transient
-//!    failures, which the framework returns to the unlabeled pool.
+//! 4. **Recovers dead or hung shards**: the coordinator captures worker
+//!    panics and bounds each shard by a poll deadline over the injectable
+//!    [`hotspot_telemetry::Clock`]; a lost worker's whole sub-batch goes to
+//!    a fresh, blocking recovery round. A label depends only on the clip's
+//!    geometry and the fault schedule on `(seed, clip, attempt)`, so the
+//!    recomputed outcomes equal what the lost worker would have produced
+//!    and a murdered worker leaves no trace in the merged state. Clips no
+//!    round could label degrade gracefully to transient failures, which the
+//!    framework returns to the unlabeled pool.
 //!
 //! All coordination provenance is journalled through `shard.*` telemetry
 //! names on the `shard.coordinator` target, both of which canonical

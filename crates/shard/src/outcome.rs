@@ -1,8 +1,7 @@
-//! Per-clip labelling outcomes: the unit of shard work, checkpoint
-//! commits, salvage, and the deterministic merge.
+//! Per-clip labelling outcomes: the unit of shard work and of the
+//! deterministic merge.
 
 use hotspot_litho::{FaultInjectionStats, Label, OracleError, OracleStateSnapshot};
-use hotspot_store::{ByteReader, ByteWriter, Restore, Snapshot, StoreError};
 
 /// Everything one oracle query changed, expressed as deltas against the
 /// snapshot the worker's oracle held before the query.
@@ -164,98 +163,10 @@ impl ClipOutcome {
     }
 }
 
-fn encode_result(result: &Result<Label, OracleError>, w: &mut ByteWriter) {
-    match result {
-        Ok(label) => {
-            w.put_u8(0);
-            label.encode(w);
-        }
-        Err(OracleError::Transient { index }) => {
-            w.put_u8(1);
-            w.put_usize(*index);
-        }
-        Err(OracleError::Timeout { index }) => {
-            w.put_u8(2);
-            w.put_usize(*index);
-        }
-        Err(OracleError::CorruptedLabel { index }) => {
-            w.put_u8(3);
-            w.put_usize(*index);
-        }
-        Err(OracleError::Permanent { index }) => {
-            w.put_u8(4);
-            w.put_usize(*index);
-        }
-        Err(OracleError::OutOfRange { index, len }) => {
-            w.put_u8(5);
-            w.put_usize(*index);
-            w.put_usize(*len);
-        }
-    }
-}
-
-fn decode_result(r: &mut ByteReader<'_>) -> Result<Result<Label, OracleError>, StoreError> {
-    match r.get_u8("clip outcome result tag")? {
-        0 => Ok(Ok(Label::decode(r)?)),
-        1 => Ok(Err(OracleError::Transient {
-            index: r.get_usize("clip outcome error")?,
-        })),
-        2 => Ok(Err(OracleError::Timeout {
-            index: r.get_usize("clip outcome error")?,
-        })),
-        3 => Ok(Err(OracleError::CorruptedLabel {
-            index: r.get_usize("clip outcome error")?,
-        })),
-        4 => Ok(Err(OracleError::Permanent {
-            index: r.get_usize("clip outcome error")?,
-        })),
-        5 => Ok(Err(OracleError::OutOfRange {
-            index: r.get_usize("clip outcome error")?,
-            len: r.get_usize("clip outcome error")?,
-        })),
-        tag => Err(StoreError::Corrupt {
-            detail: format!("invalid clip outcome result tag {tag}"),
-        }),
-    }
-}
-
-impl Snapshot for ClipOutcome {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_usize(self.clip);
-        encode_result(&self.result, w);
-        self.cache_upsert.encode(w);
-        w.put_usize(self.total_delta);
-        w.put_usize(self.resimulations_delta);
-        w.put_usize(self.retries_delta);
-        w.put_usize(self.giveups_delta);
-        w.put_usize(self.quorum_votes_delta);
-        self.attempts_after.encode(w);
-        self.faults_delta.encode(w);
-    }
-}
-
-impl Restore for ClipOutcome {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        Ok(ClipOutcome {
-            clip: r.get_usize("clip outcome")?,
-            result: decode_result(r)?,
-            cache_upsert: Option::<Label>::decode(r)?,
-            total_delta: r.get_usize("clip outcome")?,
-            resimulations_delta: r.get_usize("clip outcome")?,
-            retries_delta: r.get_usize("clip outcome")?,
-            giveups_delta: r.get_usize("clip outcome")?,
-            quorum_votes_delta: r.get_usize("clip outcome")?,
-            attempts_after: Option::<u64>::decode(r)?,
-            faults_delta: FaultInjectionStats::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hotspot_litho::{CountingOracle, LithoOracle};
-    use hotspot_store::{decode_from_slice, encode_to_vec};
 
     fn sample() -> ClipOutcome {
         ClipOutcome {
@@ -272,27 +183,6 @@ mod tests {
                 transients: 1,
                 ..FaultInjectionStats::default()
             },
-        }
-    }
-
-    #[test]
-    fn outcome_round_trips_through_codec() {
-        for outcome in [
-            sample(),
-            ClipOutcome::abandoned(9),
-            ClipOutcome {
-                result: Err(OracleError::OutOfRange { index: 3, len: 2 }),
-                ..sample()
-            },
-            ClipOutcome {
-                result: Err(OracleError::Permanent { index: 7 }),
-                cache_upsert: None,
-                ..sample()
-            },
-        ] {
-            let bytes = encode_to_vec(&outcome);
-            let back: ClipOutcome = decode_from_slice(&bytes, "clip outcome").unwrap();
-            assert_eq!(back, outcome);
         }
     }
 

@@ -90,21 +90,17 @@ pub const CHECKPOINT_CORRUPT_SKIPPED: &str = "checkpoint.corrupt_skipped";
 /// Labelling batches fanned out across shard workers by the coordinator.
 pub const SHARD_BATCHES: &str = "shard.batches";
 
-/// Clips labelled through shard workers (merged outcomes, before any
-/// salvage double-counting is collapsed).
+/// Clips labelled through shard workers (merged outcomes, including the
+/// abandoned ones).
 pub const SHARD_CLIPS: &str = "shard.clips";
 
 /// Shard workers whose thread died (panicked) before finishing its
-/// sub-batch; the coordinator salvages their committed outcomes.
+/// sub-batch; the coordinator recomputes the whole sub-batch.
 pub const SHARD_WORKERS_DEAD: &str = "shard.workers_dead";
 
 /// Shard workers that exceeded the coordinator's per-shard deadline and
-/// were abandoned (their thread is detached; committed outcomes salvage).
+/// were abandoned (their thread is detached; the sub-batch is recomputed).
 pub const SHARD_WORKERS_HUNG: &str = "shard.workers_hung";
-
-/// Clip outcomes recovered from a dead or hung worker's on-disk
-/// checkpoint commits instead of being recomputed.
-pub const SHARD_OUTCOMES_SALVAGED: &str = "shard.outcomes_salvaged";
 
 /// Orphaned clips reassigned from a dead or hung worker to a recovery
 /// round on surviving workers.
@@ -258,7 +254,7 @@ pub const EVENT_BENCHMARK_READY: &str = "benchmark ready";
 pub const EVENT_SHARD_BATCH_MERGED: &str = "shard batch merged";
 
 /// Journal event message for a dead or hung shard worker detected by the
-/// coordinator (shard id, salvaged/orphaned counts).
+/// coordinator (shard id, orphaned clip count).
 pub const EVENT_SHARD_WORKER_LOST: &str = "shard worker lost";
 
 /// Journal event message for orphaned clips reassigned to a recovery round
@@ -296,7 +292,6 @@ pub const ALL: &[&str] = &[
     SHARD_CLIPS,
     SHARD_WORKERS_DEAD,
     SHARD_WORKERS_HUNG,
-    SHARD_OUTCOMES_SALVAGED,
     SHARD_CLIPS_REASSIGNED,
     SHARD_BATCH_SECONDS,
     SPAN_SHARD_WORKER,

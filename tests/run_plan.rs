@@ -31,11 +31,7 @@ fn bench_and_config() -> (GeneratedBenchmark, SamplingConfig) {
 }
 
 fn shard(workers: usize, kill: Option<KillSpec>) -> Option<ShardSpec> {
-    Some(ShardSpec {
-        workers,
-        kill,
-        dir: None,
-    })
+    Some(ShardSpec { workers, kill })
 }
 
 /// A record with its wall time, the one field that is never compared,
