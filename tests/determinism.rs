@@ -164,6 +164,63 @@ fn training_matches_pinned_digest() {
     );
 }
 
+/// Pins the checkpoint's model section: the bytes `hotspot_store` encodes
+/// for the state of the model `training_matches_pinned_digest` trains
+/// (layer kinds and weights, then Adam's step and moments in slot order,
+/// then the training-call count). A checkpoint written before a change to
+/// the network code must still decode and resume after it.
+#[test]
+fn model_section_matches_pinned_digest() {
+    let bench = GeneratedBenchmark::generate(&spec(), 31).expect("generation succeeds");
+    let (x, _, _) = standardized_dct(&bench);
+    let labels: Vec<usize> = bench
+        .labels()
+        .iter()
+        .map(|l| usize::from(l.is_hotspot()))
+        .collect();
+    let mut model = HotspotModel::new(x.cols(), 11, 1.0, 1e-3, 32);
+    model.train(&x, &labels, 12, 5).expect("training succeeds");
+    model.train(&x, &labels, 4, 6).expect("training succeeds");
+
+    let mut h = Fnv1a::new();
+    h.bytes(&hotspot_store::encode_to_vec(&model.state()));
+    let expected = 0x1e3d_3e5d_c855_09b7u64;
+    assert_eq!(
+        h.0, expected,
+        "model-section digest {:#018x} differs from the pinned value",
+        h.0
+    );
+}
+
+/// A stacked `/score` batch returns, bit for bit, what each of its rows
+/// returns alone: the property that lets the serving micro-batcher coalesce
+/// concurrent requests without changing any answer.
+#[test]
+fn batched_scores_are_bit_identical_to_single_rows() {
+    let bench = GeneratedBenchmark::generate(&spec(), 31).expect("generation succeeds");
+    let scorer = Scorer::from_benchmark(&bench, 31, 2).expect("scorer trains");
+    let features = bench.dct_features();
+    let rows: Vec<Vec<f32>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    let bits = |score: &hotspot_serve::ClipScore| -> Vec<u32> {
+        [score.probability, score.bvsb, score.uncertainty]
+            .iter()
+            .chain(&score.logits)
+            .chain(&score.scaled_logits)
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    let batched = scorer.score_rows(&rows).expect("rows score");
+    assert_eq!(batched.len(), rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let single = scorer
+            .score_rows(std::slice::from_ref(row))
+            .expect("row scores");
+        assert_eq!(bits(&batched[i]), bits(&single[0]), "row {i} diverges");
+    }
+}
+
 /// Pins serving to a digest taken before the training and serving
 /// standardisation paths were merged: every field of the `ClipScore` that
 /// `score_rows` returns for each raw DCT row of the benchmark.
