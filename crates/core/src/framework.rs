@@ -264,9 +264,9 @@ impl SamplingFramework {
                 break;
             }
             // Line 8: temperature fit on the validation set.
-            let temperature =
-                self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
             let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
+            let temperature =
+                self.fit_temperature_guarded(&val_logits, &dataset, run_id, &mut fault_stats);
             let diagram =
                 validation_diagram(&val_logits, dataset.validation_classes(), temperature);
             emit_calibration_bins(run_id, "iteration", iteration, &diagram);
@@ -393,9 +393,9 @@ impl SamplingFramework {
         }
 
         // Final calibration and full-chip detection on the remaining pool.
-        let temperature =
-            self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
         let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
+        let temperature =
+            self.fit_temperature_guarded(&val_logits, &dataset, run_id, &mut fault_stats);
         let after_diagram =
             validation_diagram(&val_logits, dataset.validation_classes(), temperature);
         emit_calibration_bins(run_id, "after", 0, &after_diagram);
@@ -539,13 +539,12 @@ impl SamplingFramework {
     /// back to the identity temperature `T = 1` instead of aborting the run.
     fn fit_temperature_guarded(
         &self,
-        model: &HotspotModel,
-        features: &Matrix,
+        val_logits: &Matrix,
         dataset: &ActiveDataset,
         run_id: u64,
         fault_stats: &mut RunFaultStats,
     ) -> Temperature {
-        match self.fit_temperature(model, features, dataset) {
+        match self.fit_temperature(val_logits, dataset) {
             Ok(temperature) => temperature,
             Err(error) => {
                 fault_stats.temperature_fallbacks += 1;
@@ -564,16 +563,14 @@ impl SamplingFramework {
 
     fn fit_temperature(
         &self,
-        model: &HotspotModel,
-        features: &Matrix,
+        val_logits: &Matrix,
         dataset: &ActiveDataset,
     ) -> Result<Temperature, ActiveError> {
         if !self.config.ablation.calibration || dataset.validation().is_empty() {
             return Ok(Temperature::identity());
         }
-        let (logits, _) = model.predict(&features.gather_rows(dataset.validation()));
         Ok(Temperature::fit(
-            logits.as_slice(),
+            val_logits.as_slice(),
             2,
             dataset.validation_classes(),
         )?)

@@ -1,7 +1,7 @@
 use crate::ActiveError;
 use hotspot_nn::{
-    Adam, AdamState, Dense, InitRng, Matrix, NetworkSnapshot, Relu, Sequential,
-    SoftmaxCrossEntropy, TrainConfig, TrainReport, Trainer,
+    Adam, AdamState, InitRng, Matrix, Mlp, NetworkSnapshot, SoftmaxCrossEntropy, TrainConfig,
+    TrainReport, Trainer,
 };
 
 /// The complete trainable state of a [`HotspotModel`]: weights, optimiser
@@ -19,6 +19,10 @@ pub struct ModelState {
     pub steps_trained: usize,
 }
 
+/// Width of the penultimate layer, whose activations are the Eq. 7
+/// diversity features.
+const EMBEDDING_DIM: usize = 32;
+
 /// The hotspot classifier: a DCT-feature MLP with a 32-dimensional
 /// penultimate embedding, class-weighted loss, and Adam training.
 ///
@@ -28,9 +32,8 @@ pub struct ModelState {
 /// DESIGN.md for the substitution rationale.
 #[derive(Debug)]
 pub struct HotspotModel {
-    net: Sequential,
+    net: Mlp,
     input_dim: usize,
-    embedding_dim: usize,
     train_batch: usize,
     optimizer: Adam,
     steps_trained: usize,
@@ -50,50 +53,11 @@ impl HotspotModel {
         learning_rate: f64,
         train_batch: usize,
     ) -> Self {
-        HotspotModel::with_architecture(
-            input_dim,
-            &[64, 32],
-            seed,
-            sigma,
-            learning_rate,
-            train_batch,
-        )
-    }
-
-    /// Builds a model with explicit hidden-layer widths. The final hidden
-    /// width is the embedding dimension the diversity metric runs on.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `input_dim` is zero, `hidden` is empty or contains a
-    /// zero, or `sigma` is not positive.
-    pub fn with_architecture(
-        input_dim: usize,
-        hidden: &[usize],
-        seed: u64,
-        sigma: f64,
-        learning_rate: f64,
-        train_batch: usize,
-    ) -> Self {
         assert!(input_dim > 0, "input dimension must be positive");
-        assert!(!hidden.is_empty(), "need at least one hidden layer");
-        assert!(
-            hidden.iter().all(|&w| w > 0),
-            "hidden widths must be positive"
-        );
         let mut rng = InitRng::seeded(seed, sigma);
-        let mut net = Sequential::new();
-        let mut previous = input_dim;
-        for &width in hidden {
-            net.push(Dense::new(previous, width, &mut rng));
-            net.push(Relu::new());
-            previous = width;
-        }
-        net.push(Dense::new(previous, 2, &mut rng));
         HotspotModel {
-            net,
+            net: Mlp::new(&[input_dim, 64, EMBEDDING_DIM, 2], &mut rng),
             input_dim,
-            embedding_dim: previous,
             train_batch,
             optimizer: Adam::new(learning_rate),
             steps_trained: 0,
@@ -102,7 +66,7 @@ impl HotspotModel {
 
     /// Width of the penultimate embedding (the diversity-metric space).
     pub fn embedding_dim(&self) -> usize {
-        self.embedding_dim
+        EMBEDDING_DIM
     }
 
     /// Input feature dimension.
@@ -250,21 +214,6 @@ mod tests {
         assert_eq!(logits.cols(), 2);
         assert_eq!(emb.cols(), 32);
         assert_eq!(model.embedding_dim(), 32);
-    }
-
-    #[test]
-    fn custom_architecture_controls_embedding() {
-        let model = HotspotModel::with_architecture(5, &[48, 24, 12], 2, 1.0, 1e-3, 8);
-        let (logits, emb) = model.predict(&Matrix::zeros(2, 5));
-        assert_eq!(logits.cols(), 2);
-        assert_eq!(emb.cols(), 12);
-        assert_eq!(model.embedding_dim(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one hidden layer")]
-    fn rejects_empty_architecture() {
-        let _ = HotspotModel::with_architecture(5, &[], 0, 1.0, 1e-3, 8);
     }
 
     #[test]

@@ -1,31 +1,17 @@
-use crate::layer::check_buffers;
-use crate::{InitRng, Layer, Matrix, NnError};
+use crate::{Adam, InitRng, Matrix, NnError};
 
 /// A fully-connected layer: `y = x · Wᵀ + b`.
 ///
-/// Weights are stored row-major as `out_dim × in_dim`; the layout makes both
-/// the forward product and the input-gradient product cache-friendly without
-/// explicit transposes.
-///
-/// ```
-/// use hotspot_nn::{Dense, InitRng, Layer, Matrix};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = InitRng::seeded(1, 0.1);
-/// let dense = Dense::new(4, 2, &mut rng);
-/// let x = Matrix::zeros(3, 4);
-/// assert_eq!(dense.infer(&x).cols(), 2);
-/// # Ok(())
-/// # }
-/// ```
+/// Weights are stored row-major as an `out_dim × in_dim` [`Matrix`]. The
+/// forward pass multiplies by a transposed copy with [`Matrix::matmul`], so
+/// each output still sums its `in_dim` products from +0 in ascending input
+/// order; the input gradient `grad · W` uses the stored layout directly.
 #[derive(Debug)]
-pub struct Dense {
-    in_dim: usize,
-    out_dim: usize,
-    weights: Vec<f32>,
+pub(crate) struct Dense {
+    weights: Matrix,
     bias: Vec<f32>,
     grad_weights: Vec<f32>,
     grad_bias: Vec<f32>,
-    cached_input: Option<Matrix>,
 }
 
 impl Dense {
@@ -35,125 +21,173 @@ impl Dense {
     /// # Panics
     ///
     /// Panics when either dimension is zero.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut InitRng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut InitRng) -> Self {
         assert!(
             in_dim > 0 && out_dim > 0,
             "dense dimensions must be positive"
         );
         Dense {
-            in_dim,
-            out_dim,
-            weights: rng.sample_fan_in(out_dim * in_dim, in_dim),
+            weights: Matrix::from_flat(
+                out_dim,
+                in_dim,
+                rng.sample_fan_in(out_dim * in_dim, in_dim),
+            ),
             bias: vec![0.0; out_dim],
             grad_weights: vec![0.0; out_dim * in_dim],
             grad_bias: vec![0.0; out_dim],
-            cached_input: None,
         }
     }
 
     /// Input feature count.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
+    pub(crate) fn in_dim(&self) -> usize {
+        self.weights.cols()
     }
 
     /// Output feature count.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+    pub(crate) fn out_dim(&self) -> usize {
+        self.weights.rows()
     }
 
-    /// Read-only weight view (`out_dim × in_dim`, row-major).
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
-    }
-
-    /// Read-only bias view.
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    fn apply(&self, input: &Matrix) -> Matrix {
+    /// Forward pass `x · Wᵀ + b`; pure, so usable concurrently via `&self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `input.cols() != in_dim()`.
+    pub(crate) fn forward(&self, input: &Matrix) -> Matrix {
         assert_eq!(
             input.cols(),
-            self.in_dim,
+            self.in_dim(),
             "dense layer expected {} inputs, got {}",
-            self.in_dim,
+            self.in_dim(),
             input.cols()
         );
-        let w = Matrix::from_flat(self.out_dim, self.in_dim, self.weights.clone());
         // The assert above pins `input.cols() == in_dim`, the only condition
-        // `matmul_transpose` checks, so the fallback arm is unreachable.
+        // `matmul` checks, so the fallback arm is unreachable.
         let mut out = input
-            .matmul_transpose(&w)
-            .unwrap_or_else(|_| Matrix::zeros(input.rows(), self.out_dim));
+            .matmul(&self.weights.transposed())
+            .unwrap_or_else(|_| Matrix::zeros(input.rows(), self.out_dim()));
         out.add_row_bias(&self.bias);
         out
     }
-}
 
-impl Layer for Dense {
-    fn infer(&self, input: &Matrix) -> Matrix {
-        self.apply(input)
-    }
-
-    fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let out = self.apply(input);
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or(NnError::BackwardWithoutForward { layer: "dense" })?;
-        // ∂L/∂W = gradᵀ · x   (out_dim × in_dim)
-        let gw = grad_output.transpose_matmul(&input)?;
+    /// Accumulates `∂L/∂W = gradᵀ · input` and `∂L/∂b = Σ grad` for the
+    /// batch `input` whose output gradient is `grad_output`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when the two batches differ in
+    /// row count.
+    pub(crate) fn accumulate_gradients(
+        &mut self,
+        input: &Matrix,
+        grad_output: &Matrix,
+    ) -> Result<(), NnError> {
+        let gw = grad_output.transpose_matmul(input)?;
         for (g, &v) in self.grad_weights.iter_mut().zip(gw.as_slice()) {
             *g += v;
         }
         for (g, v) in self.grad_bias.iter_mut().zip(grad_output.column_sums()) {
             *g += v;
         }
-        // ∂L/∂x = grad · W  (batch × in_dim)
-        let w = Matrix::from_flat(self.out_dim, self.in_dim, self.weights.clone());
-        grad_output.matmul(&w)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        visitor(&mut self.weights, &mut self.grad_weights);
-        visitor(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn kind(&self) -> &'static str {
-        "dense"
-    }
-
-    fn param_buffers(&self) -> Vec<&[f32]> {
-        vec![&self.weights, &self.bias]
-    }
-
-    fn load_params(&mut self, buffers: &[Vec<f32>]) -> Result<(), NnError> {
-        check_buffers("dense", buffers, &[self.weights.len(), self.bias.len()])?;
-        self.weights.copy_from_slice(&buffers[0]);
-        self.bias.copy_from_slice(&buffers[1]);
         Ok(())
+    }
+
+    /// Gradient with respect to the layer input, `grad · W`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `grad_output.cols()` is not
+    /// `out_dim()`.
+    pub(crate) fn input_gradient(&self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+        grad_output.matmul(&self.weights)
+    }
+
+    /// Applies the accumulated gradients with Adam and zeroes them. The
+    /// weights use optimiser slot `first_slot`, the bias `first_slot + 1`.
+    pub(crate) fn apply_gradients(&mut self, optimizer: &mut Adam, first_slot: usize) {
+        optimizer.update(first_slot, self.weights.as_mut_slice(), &self.grad_weights);
+        optimizer.update(first_slot + 1, &mut self.bias, &self.grad_bias);
+        self.grad_weights.fill(0.0);
+        self.grad_bias.fill(0.0);
+    }
+
+    /// The weight and bias buffers, in snapshot order.
+    pub(crate) fn params(&self) -> [&[f32]; 2] {
+        [self.weights.as_slice(), &self.bias]
+    }
+
+    /// Mutable weight and bias buffers, in snapshot order.
+    pub(crate) fn params_mut(&mut self) -> [&mut [f32]; 2] {
+        [self.weights.as_mut_slice(), &mut self.bias]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn layer() -> Dense {
         let mut rng = InitRng::seeded(3, 0.5);
         Dense::new(3, 2, &mut rng)
     }
 
+    /// The forward pass as it was computed before it ran through `matmul`:
+    /// one serial dot product per output, summed from +0 in ascending
+    /// input order, then the bias.
+    fn reference_forward(dense: &Dense, input: &Matrix) -> Matrix {
+        let w = &dense.weights;
+        let mut out = Matrix::zeros(input.rows(), w.rows());
+        for i in 0..input.rows() {
+            for j in 0..w.rows() {
+                let mut acc = 0.0f32;
+                for (&a, &b) in input.row(i).iter().zip(w.row(j)) {
+                    acc += a * b;
+                }
+                out.row_mut(i)[j] = acc + dense.bias[j];
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Finite values from `(selector, value)` draws, a quarter of them
+    /// exact +0 and a quarter exact −0: the entries `matmul` skips.
+    fn with_zeros(draws: &[(u8, f32)]) -> Vec<f32> {
+        draws
+            .iter()
+            .map(|&(selector, v)| match selector {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn prop_forward_is_bitwise_the_dot_product_reference(
+            (rows, in_dim, out_dim) in (1usize..6, 1usize..40, 1usize..8),
+            draws in proptest::collection::vec((0u8..4, -8.0f32..8.0), 5 * 40 + 8 * 40 + 8),
+        ) {
+            let mut rng = InitRng::seeded(0, 1.0);
+            let mut dense = Dense::new(in_dim, out_dim, &mut rng);
+            let (input, rest) = draws.split_at(rows * in_dim);
+            let (weights, bias) = rest.split_at(out_dim * in_dim);
+            dense.weights = Matrix::from_flat(out_dim, in_dim, with_zeros(weights));
+            dense.bias = with_zeros(&bias[..out_dim]);
+            let x = Matrix::from_flat(rows, in_dim, with_zeros(input));
+            prop_assert_eq!(bits(&dense.forward(&x)), bits(&reference_forward(&dense, &x)));
+        }
+    }
+
     #[test]
     fn forward_shape() {
         let d = layer();
-        let x = Matrix::zeros(5, 3);
-        let y = d.infer(&x);
+        let y = d.forward(&Matrix::zeros(5, 3));
         assert_eq!((y.rows(), y.cols()), (5, 2));
     }
 
@@ -161,26 +195,9 @@ mod tests {
     fn zero_input_outputs_bias() {
         let mut d = layer();
         d.bias.copy_from_slice(&[1.5, -2.5]);
-        let y = d.infer(&Matrix::zeros(2, 3));
+        let y = d.forward(&Matrix::zeros(2, 3));
         assert_eq!(y.row(0), &[1.5, -2.5]);
         assert_eq!(y.row(1), &[1.5, -2.5]);
-    }
-
-    #[test]
-    fn infer_matches_forward_train() {
-        let mut d = layer();
-        let x = Matrix::from_rows(&[vec![0.1, -0.2, 0.3]]).unwrap();
-        assert_eq!(d.infer(&x), d.forward_train(&x));
-    }
-
-    #[test]
-    fn backward_without_forward_is_a_typed_error() {
-        let mut d = layer();
-        let err = d.backward(&Matrix::zeros(1, 2)).unwrap_err();
-        assert!(matches!(
-            err,
-            NnError::BackwardWithoutForward { layer: "dense" }
-        ));
     }
 
     #[test]
@@ -188,19 +205,20 @@ mod tests {
         // Finite-difference check of ∂(sum of outputs)/∂W and ∂/∂x.
         let mut d = layer();
         let x = Matrix::from_rows(&[vec![0.3, -0.7, 0.2], vec![-0.1, 0.4, 0.9]]).unwrap();
-        let y = d.forward_train(&x);
+        let y = d.forward(&x);
         let ones = Matrix::from_flat(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        let grad_in = d.backward(&ones).unwrap();
+        d.accumulate_gradients(&x, &ones).unwrap();
+        let grad_in = d.input_gradient(&ones).unwrap();
 
         let eps = 1e-3f32;
-        let sum_out = |d: &Dense, x: &Matrix| -> f32 { d.infer(x).as_slice().iter().sum() };
+        let sum_out = |d: &Dense, x: &Matrix| -> f32 { d.forward(x).as_slice().iter().sum() };
 
         // Weight gradient.
         for idx in [0usize, 2, 5] {
             let mut dp = layer();
-            dp.weights[idx] += eps;
+            dp.weights.as_mut_slice()[idx] += eps;
             let mut dm = layer();
-            dm.weights[idx] -= eps;
+            dm.weights.as_mut_slice()[idx] -= eps;
             let numeric = (sum_out(&dp, &x) - sum_out(&dm, &x)) / (2.0 * eps);
             assert!(
                 (numeric - d.grad_weights[idx]).abs() < 1e-2,
@@ -228,29 +246,8 @@ mod tests {
     fn bias_gradient_is_column_sum() {
         let mut d = layer();
         let x = Matrix::from_rows(&[vec![0.3, -0.7, 0.2], vec![-0.1, 0.4, 0.9]]).unwrap();
-        let _ = d.forward_train(&x);
         let grad = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        d.backward(&grad).unwrap();
+        d.accumulate_gradients(&x, &grad).unwrap();
         assert_eq!(d.grad_bias, vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut a = layer();
-        let bufs: Vec<Vec<f32>> = a.param_buffers().into_iter().map(<[f32]>::to_vec).collect();
-        let mut b = {
-            let mut rng = InitRng::seeded(99, 0.5);
-            Dense::new(3, 2, &mut rng)
-        };
-        b.load_params(&bufs).unwrap();
-        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]).unwrap();
-        assert_eq!(a.forward_train(&x), b.infer(&x));
-    }
-
-    #[test]
-    fn load_params_rejects_bad_shapes() {
-        let mut d = layer();
-        assert!(d.load_params(&[vec![0.0; 5], vec![0.0; 2]]).is_err());
-        assert!(d.load_params(&[vec![0.0; 6]]).is_err());
     }
 }

@@ -36,12 +36,6 @@ pub enum NnError {
     },
     /// An empty batch was passed to training.
     EmptyBatch,
-    /// `Layer::backward` was called without a preceding `forward_train`,
-    /// so the layer has no cached activations to differentiate through.
-    BackwardWithoutForward {
-        /// The offending layer's `kind()` tag.
-        layer: &'static str,
-    },
     /// A serialised snapshot did not match the network architecture.
     SnapshotMismatch {
         /// Description of the mismatch.
@@ -73,9 +67,6 @@ impl fmt::Display for NnError {
                 write!(f, "label {label} out of range for {classes} classes")
             }
             NnError::EmptyBatch => write!(f, "training batch is empty"),
-            NnError::BackwardWithoutForward { layer } => {
-                write!(f, "{layer}: backward called without forward_train")
-            }
             NnError::SnapshotMismatch { detail } => {
                 write!(f, "network snapshot mismatch: {detail}")
             }

@@ -183,34 +183,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self · otherᵀ` without materialising the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `self.cols != other.cols`.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        if self.cols != other.cols {
-            return Err(NnError::ShapeMismatch {
-                op: "matmul_transpose",
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let b_row = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        Ok(out)
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -385,15 +357,6 @@ mod tests {
         let b = m(&[vec![7.0, 8.0], vec![9.0, 10.0]]);
         let fast = a.transpose_matmul(&b).unwrap();
         let slow = a.transposed().matmul(&b).unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn matmul_transpose_equals_explicit() {
-        let a = m(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = m(&[vec![7.0, 8.0, 9.0], vec![1.0, 2.0, 3.0]]);
-        let fast = a.matmul_transpose(&b).unwrap();
-        let slow = a.matmul(&b.transposed()).unwrap();
         assert_eq!(fast, slow);
     }
 

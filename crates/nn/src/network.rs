@@ -1,102 +1,69 @@
-use crate::{Adam, Layer, Matrix, NetworkSnapshot, NnError, SoftmaxCrossEntropy};
+use crate::dense::Dense;
+use crate::{Adam, InitRng, Matrix, NetworkSnapshot, NnError, SoftmaxCrossEntropy};
 
-/// A feed-forward stack of layers.
+/// A multi-layer perceptron: hidden dense layers, each followed by ReLU,
+/// then a dense output layer.
 ///
 /// See the [crate-level example](crate) for an end-to-end training loop.
-#[derive(Debug, Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+#[derive(Debug)]
+pub struct Mlp {
+    hidden: Vec<Dense>,
+    output: Dense,
 }
 
-impl Sequential {
-    /// Creates an empty network.
-    pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+impl Mlp {
+    /// Builds the network `widths[0] → widths[1] → … → widths[n]`, drawing
+    /// each layer's fan-in-scaled weights from `rng` in layer order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than two widths are given or any width is zero.
+    pub fn new(widths: &[usize], rng: &mut InitRng) -> Self {
+        let n = widths.len();
+        assert!(n >= 2, "an MLP needs an input and an output width");
+        let hidden = widths[..n - 1]
+            .windows(2)
+            .map(|pair| Dense::new(pair[0], pair[1], rng))
+            .collect();
+        let output = Dense::new(widths[n - 2], widths[n - 1], rng);
+        Mlp { hidden, output }
     }
 
-    /// Appends a layer to the stack.
-    pub fn push<L: Layer + 'static>(&mut self, layer: L) {
-        self.layers.push(Box::new(layer));
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Pure forward pass through all layers.
+    /// Pure forward pass: the logits.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.infer(&x);
-        }
-        x
+        self.infer_with_embedding(input).0
     }
 
     /// Pure forward pass that also returns the *embedding*: the activation
-    /// entering the final layer. The paper's diversity metric (Eq. 7–8) runs
-    /// on these penultimate features.
+    /// entering the output layer. The paper's diversity metric (Eq. 7–8)
+    /// runs on these penultimate features.
     ///
-    /// # Panics
-    ///
-    /// Panics on an empty network.
+    /// Every layer is a row-independent map, so a stacked batch yields, bit
+    /// for bit, the rows each input yields alone; the serving micro-batcher
+    /// relies on this.
     pub fn infer_with_embedding(&self, input: &Matrix) -> (Matrix, Matrix) {
-        assert!(!self.layers.is_empty(), "network has no layers");
         let mut x = input.clone();
-        for layer in &self.layers[..self.layers.len() - 1] {
-            x = layer.infer(&x);
+        for layer in &self.hidden {
+            x = layer.forward(&x);
+            relu(&mut x);
         }
-        let embedding = x.clone();
-        let logits = self.layers[self.layers.len() - 1].infer(&x);
-        (logits, embedding)
-    }
-
-    /// Batch-size-1 forward pass: logits and embedding of a single input
-    /// row. This is the reference point for micro-batched serving — every
-    /// dense layer is a row-independent affine map, so
-    /// [`Sequential::infer_with_embedding`] over a stacked batch produces
-    /// bit-identical rows to calling this per input (pinned by the
-    /// `batched_inference_is_bit_identical_to_single_rows` test).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty network.
-    pub fn infer_row(&self, row: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let input = Matrix::from_flat(1, row.len(), row.to_vec());
-        let (logits, embedding) = self.infer_with_embedding(&input);
-        (logits.as_slice().to_vec(), embedding.as_slice().to_vec())
+        (self.output.forward(&x), x)
     }
 
     /// Inference in row chunks — used for full-pool prediction
     /// where a benchmark holds 10⁵–10⁶ clips. Returns `(logits, embeddings)`
-    /// like [`Sequential::infer_with_embedding`].
+    /// like [`Mlp::infer_with_embedding`].
     pub fn infer_pool(&self, input: &Matrix, chunk_rows: usize) -> (Matrix, Matrix) {
-        assert!(!self.layers.is_empty(), "network has no layers");
         let chunk = chunk_rows.max(1);
-        let indices: Vec<usize> = (0..input.rows()).step_by(chunk).collect();
-        let parts: Vec<(Matrix, Matrix)> = indices
-            .iter()
-            .map(|&start| {
-                let end = (start + chunk).min(input.rows());
-                let rows: Vec<usize> = (start..end).collect();
-                let sub = input.gather_rows(&rows);
-                self.infer_with_embedding(&sub)
-            })
-            .collect();
-        // Every chunk runs through the same layers, so the widths are uniform
-        // by construction — concatenate the row-major buffers directly.
-        let logit_cols = parts.first().map_or(0, |(l, _)| l.cols());
-        let embed_cols = parts.first().map_or(0, |(_, e)| e.cols());
-        let mut logit_data = Vec::with_capacity(input.rows() * logit_cols);
-        let mut embed_data = Vec::with_capacity(input.rows() * embed_cols);
-        for (l, e) in &parts {
-            logit_data.extend_from_slice(l.as_slice());
-            embed_data.extend_from_slice(e.as_slice());
+        let mut logit_data = Vec::new();
+        let mut embed_data = Vec::new();
+        let (mut logit_cols, mut embed_cols) = (0, 0);
+        for start in (0..input.rows()).step_by(chunk) {
+            let rows: Vec<usize> = (start..(start + chunk).min(input.rows())).collect();
+            let (logits, embedding) = self.infer_with_embedding(&input.gather_rows(&rows));
+            (logit_cols, embed_cols) = (logits.cols(), embedding.cols());
+            logit_data.extend_from_slice(logits.as_slice());
+            embed_data.extend_from_slice(embedding.as_slice());
         }
         (
             Matrix::from_flat(input.rows(), logit_cols, logit_data),
@@ -104,46 +71,12 @@ impl Sequential {
         )
     }
 
-    /// Training forward pass (caches activations).
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_train(&x);
-        }
-        x
-    }
-
-    /// Backward pass; returns the gradient at the network input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BackwardWithoutForward`] when any layer is missing
-    /// its cached activations (no preceding [`Sequential::forward_train`]).
-    pub fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
-    }
-
-    /// Applies accumulated gradients with the optimiser and zeroes them.
-    pub fn apply_gradients(&mut self, optimizer: &mut Adam) {
-        optimizer.begin_step();
-        let mut slot = 0usize;
-        for layer in &mut self.layers {
-            layer.visit_params(&mut |weights, grads| {
-                optimizer.update(slot, weights, grads);
-                for g in grads.iter_mut() {
-                    *g = 0.0;
-                }
-                slot += 1;
-            });
-        }
-    }
-
-    /// One training step on a batch: forward, loss, backward, update.
+    /// One training step on a batch: forward, loss, backward, Adam update.
     /// Returns the batch loss.
+    ///
+    /// The forward pass keeps each dense layer's input. A hidden layer's
+    /// ReLU passes gradient where its output — the next layer's input — is
+    /// positive, which is exactly where its pre-activation was.
     ///
     /// # Errors
     ///
@@ -156,16 +89,40 @@ impl Sequential {
         loss: &SoftmaxCrossEntropy,
         optimizer: &mut Adam,
     ) -> Result<f64, NnError> {
-        let logits = self.forward_train(input);
-        let (value, grad) = loss.loss_and_grad(&logits, labels)?;
-        self.backward(&grad)?;
-        self.apply_gradients(optimizer);
+        let mut inputs = vec![input.clone()];
+        for layer in &self.hidden {
+            let mut x = layer.forward(&inputs[inputs.len() - 1]);
+            relu(&mut x);
+            inputs.push(x);
+        }
+        let logits = self.output.forward(&inputs[inputs.len() - 1]);
+        let (value, mut grad) = loss.loss_and_grad(&logits, labels)?;
+        // Walk back from the output layer: each upstream layer takes its
+        // gradients, then hands `grad · W`, gated by the ReLU whose output it
+        // read, to the hidden layer below. The first layer's input gradient
+        // is never needed.
+        let mut upstream = &mut self.output;
+        for (layer, activation) in self.hidden.iter_mut().zip(&inputs[1..]).rev() {
+            upstream.accumulate_gradients(activation, &grad)?;
+            grad = upstream.input_gradient(&grad)?;
+            for (g, &a) in grad.as_mut_slice().iter_mut().zip(activation.as_slice()) {
+                if a <= 0.0 {
+                    *g = 0.0;
+                }
+            }
+            upstream = layer;
+        }
+        upstream.accumulate_gradients(&inputs[0], &grad)?;
+        optimizer.begin_step();
+        for (index, layer) in self.layers_mut().enumerate() {
+            layer.apply_gradients(optimizer, 2 * index);
+        }
         Ok(value)
     }
 
-    /// Serialises the architecture tags and weights.
+    /// Captures the weights as a [`NetworkSnapshot`].
     pub fn snapshot(&self) -> NetworkSnapshot {
-        NetworkSnapshot::capture(&self.layers)
+        NetworkSnapshot::capture(self.hidden.iter().chain([&self.output]))
     }
 
     /// Restores weights from a snapshot taken on an identical architecture.
@@ -173,24 +130,32 @@ impl Sequential {
     /// # Errors
     ///
     /// Returns [`NnError::SnapshotMismatch`] when layer kinds, counts, or
-    /// buffer shapes differ.
+    /// buffer shapes differ; the network is then left unchanged.
     pub fn load_snapshot(&mut self, snapshot: &NetworkSnapshot) -> Result<(), NnError> {
-        snapshot.restore(&mut self.layers)
+        snapshot.restore(&mut self.layers_mut().collect::<Vec<_>>())
+    }
+
+    /// Every dense layer, input side first.
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut Dense> {
+        self.hidden.iter_mut().chain([&mut self.output])
+    }
+}
+
+/// `max(v, 0)` in place. `NaN.max(0.0)` is `0.0`, so an output is positive
+/// exactly when its input was.
+fn relu(x: &mut Matrix) {
+    for v in x.as_mut_slice() {
+        *v = v.max(0.0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, InitRng, Relu};
 
-    fn xor_net(seed: u64) -> Sequential {
+    fn xor_net(seed: u64) -> Mlp {
         let mut rng = InitRng::seeded(seed, 1.0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 16, &mut rng));
-        net.push(Relu::new());
-        net.push(Dense::new(16, 2, &mut rng));
-        net
+        Mlp::new(&[2, 16, 2], &mut rng)
     }
 
     fn xor_data() -> (Matrix, Vec<usize>) {
@@ -261,8 +226,7 @@ mod tests {
         let net = xor_net(1);
         let snap = net.snapshot();
         let mut rng = InitRng::seeded(0, 1.0);
-        let mut other = Sequential::new();
-        other.push(Dense::new(2, 4, &mut rng));
+        let mut other = Mlp::new(&[2, 4], &mut rng);
         assert!(other.load_snapshot(&snap).is_err());
     }
 
@@ -285,15 +249,18 @@ mod tests {
             .collect();
         let batch = Matrix::from_rows(&rows).unwrap();
         let (logits, embeddings) = net.infer_with_embedding(&batch);
+        let bits = |values: &[f32]| -> Vec<u32> { values.iter().map(|v| v.to_bits()).collect() };
         for (i, row) in rows.iter().enumerate() {
-            let (single_logits, single_embedding) = net.infer_row(row);
-            let batch_logits: Vec<u32> = logits.row(i).iter().map(|v| v.to_bits()).collect();
-            let single_bits: Vec<u32> = single_logits.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batch_logits, single_bits, "logits diverge at row {i}");
-            let batch_embedding: Vec<u32> = embeddings.row(i).iter().map(|v| v.to_bits()).collect();
-            let single_embedding: Vec<u32> = single_embedding.iter().map(|v| v.to_bits()).collect();
+            let single = Matrix::from_flat(1, row.len(), row.clone());
+            let (single_logits, single_embedding) = net.infer_with_embedding(&single);
             assert_eq!(
-                batch_embedding, single_embedding,
+                bits(logits.row(i)),
+                bits(single_logits.as_slice()),
+                "logits diverge at row {i}"
+            );
+            assert_eq!(
+                bits(embeddings.row(i)),
+                bits(single_embedding.as_slice()),
                 "embedding diverges at row {i}"
             );
         }

@@ -1,65 +1,80 @@
-use crate::{Layer, NnError};
-use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use crate::dense::Dense;
+use crate::NnError;
 
-/// A serialisable capture of a network's layer kinds and weights.
+/// A capture of an [`crate::Mlp`]'s weights, as a sequence of tagged layers.
 ///
-/// Snapshots pair with [`crate::Sequential::snapshot`] /
-/// [`crate::Sequential::load_snapshot`]: the architecture itself is rebuilt in
+/// Snapshots pair with [`crate::Mlp::snapshot`] /
+/// [`crate::Mlp::load_snapshot`]: the architecture itself is rebuilt in
 /// code (construction needs RNGs and dimensions), the snapshot carries only
-/// the learned state plus enough structure to detect mismatches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the learned state plus enough structure to detect mismatches. Each dense
+/// layer is a `("dense", [weights, bias])` entry, and a `("relu", [])` entry
+/// sits between consecutive dense layers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSnapshot {
     layers: Vec<LayerSnapshot>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct LayerSnapshot {
     kind: String,
     buffers: Vec<Vec<f32>>,
 }
 
 impl NetworkSnapshot {
-    pub(crate) fn capture(layers: &[Box<dyn Layer>]) -> Self {
-        NetworkSnapshot {
-            layers: layers
-                .iter()
-                .map(|layer| LayerSnapshot {
-                    kind: layer.kind().to_owned(),
-                    buffers: layer
-                        .param_buffers()
-                        .into_iter()
-                        .map(<[f32]>::to_vec)
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn restore(&self, layers: &mut [Box<dyn Layer>]) -> Result<(), NnError> {
-        if layers.len() != self.layers.len() {
-            return Err(NnError::SnapshotMismatch {
-                detail: format!(
-                    "network has {} layers, snapshot has {}",
-                    layers.len(),
-                    self.layers.len()
-                ),
-            });
-        }
-        for (layer, snap) in layers.iter_mut().zip(&self.layers) {
-            if layer.kind() != snap.kind {
-                return Err(NnError::SnapshotMismatch {
-                    detail: format!("layer kind {} vs snapshot {}", layer.kind(), snap.kind),
+    pub(crate) fn capture<'a>(layers: impl Iterator<Item = &'a Dense>) -> Self {
+        let mut parts = Vec::new();
+        for (index, layer) in layers.enumerate() {
+            if index > 0 {
+                parts.push(LayerSnapshot {
+                    kind: "relu".to_owned(),
+                    buffers: Vec::new(),
                 });
             }
-            layer.load_params(&snap.buffers)?;
+            parts.push(LayerSnapshot {
+                kind: "dense".to_owned(),
+                buffers: layer.params().map(<[f32]>::to_vec).into(),
+            });
         }
-        Ok(())
+        NetworkSnapshot { layers: parts }
     }
 
-    /// Number of layers captured.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
+    /// Checks the whole snapshot against `layers` first, then copies, so a
+    /// mismatch leaves the network unchanged.
+    pub(crate) fn restore(&self, layers: &mut [&mut Dense]) -> Result<(), NnError> {
+        let mismatch = |detail: String| NnError::SnapshotMismatch { detail };
+        let expected = 2 * layers.len() - 1;
+        if self.layers.len() != expected {
+            return Err(mismatch(format!(
+                "network has {expected} layers, snapshot has {}",
+                self.layers.len()
+            )));
+        }
+        for (index, snap) in self.layers.iter().enumerate() {
+            let (kind, lengths) = if index % 2 == 0 {
+                let [w, b] = layers[index / 2].params();
+                ("dense", vec![w.len(), b.len()])
+            } else {
+                ("relu", Vec::new())
+            };
+            if snap.kind != kind {
+                return Err(mismatch(format!(
+                    "layer {index} kind {kind} vs snapshot {}",
+                    snap.kind
+                )));
+            }
+            let found: Vec<usize> = snap.buffers.iter().map(Vec::len).collect();
+            if found != lengths {
+                return Err(mismatch(format!(
+                    "{kind} layer {index}: buffer lengths {lengths:?}, snapshot has {found:?}"
+                )));
+            }
+        }
+        for (layer, snap) in layers.iter_mut().zip(self.layers.iter().step_by(2)) {
+            for (param, buffer) in layer.params_mut().into_iter().zip(&snap.buffers) {
+                param.copy_from_slice(buffer);
+            }
+        }
+        Ok(())
     }
 
     /// Layer kinds and parameter buffers in network order, for external
@@ -72,7 +87,7 @@ impl NetworkSnapshot {
 
     /// Rebuilds a snapshot from `(kind, buffers)` parts as produced by
     /// [`Self::layer_parts`]. Structural validation still happens at
-    /// [`crate::Sequential::load_snapshot`] time.
+    /// [`crate::Mlp::load_snapshot`] time.
     pub fn from_layer_parts(parts: Vec<(String, Vec<Vec<f32>>)>) -> Self {
         NetworkSnapshot {
             layers: parts
@@ -81,64 +96,33 @@ impl NetworkSnapshot {
                 .collect(),
         }
     }
-
-    /// Total parameter count across all layers.
-    pub fn parameter_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(|l| l.buffers.iter())
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Writes the snapshot as JSON. A mut reference works as the writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and serialisation failures.
-    pub fn write_json<W: Write>(&self, writer: W) -> Result<(), std::io::Error> {
-        serde_json::to_writer(writer, self).map_err(std::io::Error::other)
-    }
-
-    /// Reads a snapshot from JSON. A mut reference works as the reader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and deserialisation failures.
-    pub fn read_json<R: Read>(reader: R) -> Result<Self, std::io::Error> {
-        serde_json::from_reader(reader).map_err(std::io::Error::other)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, InitRng, Relu, Sequential};
+    use crate::{InitRng, Matrix, Mlp};
 
-    fn net() -> Sequential {
+    fn net() -> Mlp {
         let mut rng = InitRng::seeded(2, 0.3);
-        let mut net = Sequential::new();
-        net.push(Dense::new(3, 5, &mut rng));
-        net.push(Relu::new());
-        net.push(Dense::new(5, 2, &mut rng));
-        net
+        Mlp::new(&[3, 5, 2], &mut rng)
     }
 
     #[test]
-    fn parameter_count_matches_architecture() {
+    fn layer_parts_are_dense_relu_dense() {
         let snap = net().snapshot();
-        // (3*5 + 5) + (5*2 + 2) = 32.
-        assert_eq!(snap.parameter_count(), 32);
-        assert_eq!(snap.layer_count(), 3);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let snap = net().snapshot();
-        let mut buf = Vec::new();
-        snap.write_json(&mut buf).unwrap();
-        let back = NetworkSnapshot::read_json(buf.as_slice()).unwrap();
-        assert_eq!(snap, back);
+        let parts: Vec<(&str, Vec<usize>)> = snap
+            .layer_parts()
+            .map(|(kind, buffers)| (kind, buffers.iter().map(Vec::len).collect()))
+            .collect();
+        assert_eq!(
+            parts,
+            vec![
+                ("dense", vec![15, 5]),
+                ("relu", vec![]),
+                ("dense", vec![10, 2]),
+            ]
+        );
     }
 
     #[test]
@@ -157,7 +141,34 @@ mod tests {
         let snap = original.snapshot();
         let mut clone = net();
         clone.load_snapshot(&snap).unwrap();
-        let x = crate::Matrix::from_rows(&[vec![0.5, -0.5, 1.0]]).unwrap();
+        let x = Matrix::from_rows(&[vec![0.5, -0.5, 1.0]]).unwrap();
         assert_eq!(original.infer(&x), clone.infer(&x));
+    }
+
+    #[test]
+    fn mismatched_snapshot_leaves_the_network_unchanged() {
+        let snap = net().snapshot();
+        let parts: Vec<(String, Vec<Vec<f32>>)> = snap
+            .layer_parts()
+            .map(|(kind, buffers)| (kind.to_owned(), buffers.to_vec()))
+            .collect();
+        let x = Matrix::from_rows(&[vec![0.5, -0.5, 1.0]]).unwrap();
+        let mut target = Mlp::new(&[3, 5, 2], &mut InitRng::seeded(7, 0.3));
+        let before = target.infer(&x);
+
+        let mut short_bias = parts.clone();
+        short_bias[2].1[1].pop();
+        let mut relu_with_params = parts.clone();
+        relu_with_params[1].1.push(vec![1.0]);
+        let mut renamed = parts.clone();
+        renamed[1].0 = "dense".to_owned();
+        for bad in [short_bias, relu_with_params, renamed, parts[..1].to_vec()] {
+            let bad = NetworkSnapshot::from_layer_parts(bad);
+            assert!(matches!(
+                target.load_snapshot(&bad),
+                Err(NnError::SnapshotMismatch { .. })
+            ));
+            assert_eq!(target.infer(&x), before);
+        }
     }
 }

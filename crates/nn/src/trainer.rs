@@ -1,4 +1,4 @@
-use crate::{Adam, Matrix, NnError, Sequential, SoftmaxCrossEntropy};
+use crate::{Adam, Matrix, Mlp, NnError, SoftmaxCrossEntropy};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,15 +48,10 @@ impl TrainReport {
 /// Deterministic mini-batch trainer with per-epoch shuffling.
 ///
 /// ```
-/// use hotspot_nn::{Trainer, TrainConfig, Sequential, Dense, Relu, InitRng,
-///                  Adam, SoftmaxCrossEntropy, Matrix};
+/// use hotspot_nn::{Trainer, TrainConfig, Mlp, InitRng, Adam, SoftmaxCrossEntropy, Matrix};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = InitRng::seeded(0, 0.5);
-/// let mut net = Sequential::new();
-/// net.push(Dense::new(1, 8, &mut rng));
-/// net.push(Relu::new());
-/// net.push(Dense::new(8, 2, &mut rng));
+/// let mut net = Mlp::new(&[1, 8, 2], &mut InitRng::seeded(0, 0.5));
 ///
 /// let x = Matrix::from_rows(&[vec![-1.0], vec![-0.5], vec![0.5], vec![1.0]])?;
 /// let y = vec![0usize, 0, 1, 1];
@@ -100,7 +95,7 @@ impl Trainer {
     /// propagates shape errors from the loss.
     pub fn fit(
         &self,
-        net: &mut Sequential,
+        net: &mut Mlp,
         x: &Matrix,
         labels: &[usize],
         loss: &SoftmaxCrossEntropy,
@@ -167,15 +162,10 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, InitRng, Relu};
+    use crate::InitRng;
 
-    fn net(seed: u64) -> Sequential {
-        let mut rng = InitRng::seeded(seed, 0.5);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 12, &mut rng));
-        net.push(Relu::new());
-        net.push(Dense::new(12, 2, &mut rng));
-        net
+    fn net(seed: u64) -> Mlp {
+        Mlp::new(&[2, 12, 2], &mut InitRng::seeded(seed, 0.5))
     }
 
     fn ring_data() -> (Matrix, Vec<usize>) {

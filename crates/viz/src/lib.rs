@@ -63,7 +63,7 @@ pub const PALETTE: &[&str] = &[
     "#db2777", // pink
 ];
 
-/// Sequential colour ramp from cool to warm, for ordered encodings such as
+/// Colour ramp from cool to warm, for ordered encodings such as
 /// iteration number. `t` is clamped to `[0, 1]`; non-finite maps to `0`.
 pub fn ramp_color(t: f64) -> String {
     let t = if t.is_finite() {
