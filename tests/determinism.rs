@@ -3,8 +3,10 @@
 //! numbers citable.
 
 use lithohd::active::{
-    standardized_dct, EntropySelector, HotspotModel, SamplingConfig, SamplingFramework,
+    standardized_dct, AblationConfig, BatchSelector, EntropySelector, HotspotModel, SamplingConfig,
+    SamplingFramework, SelectionContext, WeightMode,
 };
+use lithohd::baselines::QpSelector;
 use lithohd::gmm::{GaussianMixture, GmmConfig};
 use lithohd::layout::{BenchmarkSpec, ClipFamily, ClipRecipe, GeneratedBenchmark, Tech};
 
@@ -160,6 +162,53 @@ fn training_matches_pinned_digest() {
     assert_eq!(
         h.0, expected,
         "training digest {:#018x} differs from the pinned value",
+        h.0
+    );
+}
+
+/// Pins the QP baseline's picks (Yang et al., the `qp` method): the clips
+/// `QpSelector::select` returns over the embeddings and logits of the model
+/// `training_matches_pinned_digest` trains, for several batch sizes and
+/// diversity trade-offs. A faster solver must still choose the same clips.
+#[test]
+fn qp_picks_match_pinned_digest() {
+    let bench = GeneratedBenchmark::generate(&spec(), 31).expect("generation succeeds");
+    let (x, _, _) = standardized_dct(&bench);
+    let labels: Vec<usize> = bench
+        .labels()
+        .iter()
+        .map(|l| usize::from(l.is_hotspot()))
+        .collect();
+    let mut model = HotspotModel::new(x.cols(), 11, 1.0, 1e-3, 32);
+    model.train(&x, &labels, 12, 5).expect("training succeeds");
+    model.train(&x, &labels, 4, 6).expect("training succeeds");
+    let (logits, embeddings) = model.predict(&x);
+    let probabilities = vec![0.5f32; 2 * logits.rows()];
+
+    let mut h = Fnv1a::new();
+    for lambda in [0.0, 1.0] {
+        for k in [1usize, 10, 25] {
+            let ctx = SelectionContext {
+                logits: &logits,
+                probabilities: &probabilities,
+                embeddings: &embeddings,
+                k,
+                boundary_h: 0.5,
+                weight_mode: WeightMode::Entropy,
+                ablation: AblationConfig::default(),
+                rng_seed: 0,
+            };
+            let picked = QpSelector::with_lambda(lambda).select(&ctx);
+            h.u64(picked.len() as u64);
+            for i in picked {
+                h.u64(i as u64);
+            }
+        }
+    }
+    let expected = 0x958f_4cd9_7c1e_0ac0u64;
+    assert_eq!(
+        h.0, expected,
+        "QP pick digest {:#018x} differs from the pinned value",
         h.0
     );
 }
