@@ -14,8 +14,9 @@ use hotspot_qp::{QpError, QpProblem, QpSolver};
 /// critique is precisely that \[14\] runs on a poorly calibrated model — and
 /// `K` is the embedding similarity matrix, so similar pairs are penalised.
 /// The relaxation is solved by projected gradient and rounded to the top-`k`
-/// entries, reproducing both the behaviour and the O(n²) + iterative-solve
-/// cost that Fig. 3(b) and Fig. 6(b) measure against.
+/// entries, reproducing the behaviour and the iterative-solve cost that
+/// Fig. 3(b) and Fig. 6(b) measure against: one O(n²·d) pass for the step
+/// size, then O(n·d + n log n) per iteration (`K` is never formed).
 #[derive(Debug, Clone)]
 pub struct QpSelector {
     lambda: f64,
@@ -63,26 +64,20 @@ impl QpSelector {
         let n = embeddings.rows();
         if uncertainty.len() != n {
             return Err(QpError::BadShape {
-                q_len: n * n,
+                rows: n,
                 c_len: uncertainty.len(),
             });
         }
-        // Similarity matrix on ℓ2-normalised embeddings.
-        let normalized = l2_normalize_rows(embeddings);
-        let mut q = vec![0.0f64; n * n];
-        for i in 0..n {
-            let a = normalized.row(i);
-            for j in (i + 1)..n {
-                let b = normalized.row(j);
-                let sim: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-                // min ½ sᵀQs with Q = 2λK makes the objective λ sᵀKs.
-                let v = 2.0 * self.lambda * sim as f64;
-                q[i * n + j] = v;
-                q[j * n + i] = v;
-            }
-        }
+        // Similarity kernel on ℓ2-normalised embeddings: min ½ sᵀQs with
+        // Q = 2λ(X̂X̂ᵀ − diag) makes the objective λ·Σ_{i≠j} sim(i, j)·sᵢsⱼ.
         let c: Vec<f64> = uncertainty.iter().map(|&u| -(u as f64)).collect();
-        QpProblem::new(q, c, k.min(n) as f64)
+        QpProblem::new(
+            l2_normalized_rows(embeddings),
+            embeddings.cols(),
+            self.lambda,
+            c,
+            k.min(n) as f64,
+        )
     }
 }
 
@@ -128,10 +123,11 @@ fn raw_softmax(logits: &Matrix) -> Vec<f32> {
     out
 }
 
-fn l2_normalize_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
+/// The rows of `m`, each divided by its ℓ2 norm; (near-)zero rows are left
+/// as they are.
+fn l2_normalized_rows(m: &Matrix) -> Vec<f32> {
+    let mut out = m.as_slice().to_vec();
+    for row in out.chunks_exact_mut(m.cols().max(1)) {
         let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
         if norm > 1e-12 {
             for v in row.iter_mut() {
@@ -227,15 +223,39 @@ mod tests {
     }
 
     #[test]
-    fn build_problem_is_symmetric() {
+    fn build_problem_penalises_similar_pairs_symmetrically() {
+        // ∂gᵢ/∂sⱼ = qᵢⱼ: the gradient at a unit vector eⱼ, less the linear
+        // cost, is column j of Q = 2λ(X̂X̂ᵀ − diag).
         let (_, _, emb) = fixture();
         let problem = QpSelector::new().build_problem(&emb, &[0.5; 4], 2).unwrap();
-        let q = problem.quadratic();
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(q[i * 4 + j], q[j * 4 + i]);
+        let column = |j: usize| {
+            let mut s = [0.0; 4];
+            s[j] = 1.0;
+            let mut grad = [0.0; 4];
+            problem.gradient(&s, &mut grad);
+            grad.map(|g| g + 0.5)
+        };
+        let q: Vec<[f64; 4]> = (0..4).map(column).collect();
+        for (i, row) in q.iter().enumerate() {
+            assert_eq!(row[i], 0.0);
+            for (j, &qij) in row.iter().enumerate() {
+                assert!((qij - q[j][i]).abs() < 1e-12, "q[{i}][{j}]");
             }
         }
+        // Duplicates 0 and 1 have similarity 1, 0 and 2 are orthogonal.
+        assert!((q[0][1] - 2.0).abs() < 1e-6, "{q:?}");
+        assert!(q[0][2].abs() < 1e-12, "{q:?}");
+        assert!((q[2][3] - 1.6).abs() < 1e-6, "{q:?}");
+    }
+
+    #[test]
+    fn build_problem_rejects_mismatched_uncertainty() {
+        let (_, _, emb) = fixture();
+        let err = QpSelector::new()
+            .build_problem(&emb, &[0.5; 3], 2)
+            .unwrap_err();
+        assert_eq!(err, QpError::BadShape { rows: 4, c_len: 3 });
+        assert!(err.to_string().contains("4 embedding rows for 3 variables"));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The paper reports 153.97 vs 8.28 (×10⁻⁴ s) per diversity evaluation. This
 //! binary measures both on the same query set: the paper's metric is a
-//! single O(n²·d) min-distance pass; the QP baseline must build the n × n
-//! similarity matrix *and* run the projected-gradient solve. The gated
+//! single O(n²·d) min-distance pass; the QP baseline takes an O(n²·d) pass
+//! for its step size *and* then runs the projected-gradient solve, each
+//! iteration O(n·d) plus an O(n log n) projection. The gated
 //! `lithohd-profile` microbench times the same comparison as its adjacent
 //! `diversity` and `qp_diversity` rows.
 

@@ -49,28 +49,10 @@ impl Default for QpSolver {
 }
 
 impl QpSolver {
-    /// Creates a solver with explicit limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_iters` is zero or `tol` is not positive.
-    pub fn new(max_iters: usize, tol: f64) -> Self {
-        assert!(max_iters > 0, "iteration limit must be positive");
-        assert!(tol.is_finite() && tol > 0.0, "tolerance must be positive");
-        QpSolver { max_iters, tol }
-    }
-
     /// Solves the problem from the uniform feasible start `s = k/n`.
     pub fn solve(&self, problem: &QpProblem) -> QpSolution {
-        let n = problem.len();
-        if n == 0 {
-            return QpSolution {
-                values: Vec::new(),
-                objective: 0.0,
-                iterations: 0,
-            };
-        }
-        let k = problem.budget();
+        let n = problem.c.len();
+        let k = problem.k;
         let step = 1.0 / problem.lipschitz_bound().max(1.0);
         let mut s = vec![k / n as f64; n];
         let mut grad = vec![0.0f64; n];
@@ -78,12 +60,10 @@ impl QpSolver {
         for it in 0..self.max_iters {
             iterations = it + 1;
             problem.gradient(&s, &mut grad);
-            let proposal: Vec<f64> = s
-                .iter()
-                .zip(&grad)
-                .map(|(&si, &gi)| si - step * gi)
-                .collect();
-            let next = project_capped_simplex(&proposal, k);
+            for (g, &si) in grad.iter_mut().zip(&s) {
+                *g = si - step * *g;
+            }
+            let next = project_capped_simplex(&grad, k);
             let movement = s
                 .iter()
                 .zip(&next)
@@ -106,12 +86,16 @@ impl QpSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{random_embeddings, DenseQp};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
 
     #[test]
     fn linear_problem_picks_cheapest() {
-        // Pure linear: pick the 2 most negative costs.
+        // λ = 0 leaves only the linear term: pick the 2 most negative costs.
         let c = vec![3.0, -5.0, 1.0, -4.0];
-        let p = QpProblem::new(vec![0.0; 16], c, 2.0).unwrap();
+        let p = QpProblem::new(vec![1.0; 4], 1, 0.0, c, 2.0).unwrap();
         let sol = QpSolver::default().solve(&p);
         let picked = sol.top_k_indices(2);
         assert!(picked.contains(&1) && picked.contains(&3), "{picked:?}");
@@ -121,16 +105,11 @@ mod tests {
 
     #[test]
     fn quadratic_repulsion_spreads_selection() {
-        // Three items; items 0 and 1 are identical (strong mutual penalty),
-        // item 2 is independent. Budget 2 should pick one of {0,1} plus 2.
-        #[rustfmt::skip]
-        let q = vec![
-            0.0, 8.0, 0.0,
-            8.0, 0.0, 0.0,
-            0.0, 0.0, 0.0,
-        ];
+        // Items 0 and 1 are identical (similarity 1, so q₀₁ = 2λ = 8), item
+        // 2 is orthogonal to both. Budget 2 should pick one of {0,1} plus 2.
+        let x = vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0];
         let c = vec![-1.0, -1.0, -0.5];
-        let p = QpProblem::new(q, c, 2.0).unwrap();
+        let p = QpProblem::new(x, 2, 4.0, c, 2.0).unwrap();
         let sol = QpSolver::default().solve(&p);
         assert!(sol.values[2] > 0.9, "{:?}", sol.values);
         assert!(
@@ -142,11 +121,12 @@ mod tests {
 
     #[test]
     fn solution_is_feasible() {
-        let q = vec![1.0, 0.2, 0.2, 1.0];
-        let p = QpProblem::new(q, vec![-0.3, -0.6], 1.0).unwrap();
+        let x = random_embeddings(40, 8, 3);
+        let c: Vec<f64> = (0..40).map(|i| -((i % 7) as f64) / 7.0).collect();
+        let p = QpProblem::new(x, 8, 1.0, c, 6.0).unwrap();
         let sol = QpSolver::default().solve(&p);
         let sum: f64 = sol.values.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
+        assert!((sum - 6.0).abs() < 1e-5);
         for &v in &sol.values {
             assert!((-1e-9..=1.0 + 1e-9).contains(&v));
         }
@@ -155,14 +135,9 @@ mod tests {
     #[test]
     fn objective_not_worse_than_start() {
         let n = 12;
-        let mut q = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                q[i * n + j] = if i == j { 2.0 } else { 0.3 };
-            }
-        }
+        let x = random_embeddings(n, 4, 12);
         let c: Vec<f64> = (0..n).map(|i| -((i % 5) as f64)).collect();
-        let p = QpProblem::new(q, c, 4.0).unwrap();
+        let p = QpProblem::new(x, 4, 0.15, c, 4.0).unwrap();
         let start = vec![4.0 / n as f64; n];
         let sol = QpSolver::default().solve(&p);
         assert!(sol.objective <= p.objective(&start) + 1e-9);
@@ -170,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_problem() {
-        let p = QpProblem::new(Vec::new(), Vec::new(), 0.0).unwrap();
+        let p = QpProblem::new(Vec::new(), 32, 1.0, Vec::new(), 0.0).unwrap();
         let sol = QpSolver::default().solve(&p);
         assert!(sol.values.is_empty());
         assert_eq!(sol.objective, 0.0);
@@ -188,7 +163,7 @@ mod tests {
 
     /// Brute-force binary optimum of the QP over `{s ∈ {0,1}ⁿ : Σs = k}`.
     fn binary_optimum(problem: &QpProblem, k: usize) -> f64 {
-        let n = problem.len();
+        let n = problem.c.len();
         let mut best = f64::INFINITY;
         for mask in 0u32..(1 << n) {
             if mask.count_ones() as usize != k {
@@ -205,34 +180,62 @@ mod tests {
         // The capped simplex contains every feasible binary vector, so the
         // relaxed optimum can never exceed the best binary selection — the
         // property the [14]-style selector's rounding step relies on.
-        // Q = AᵀA is positive semi-definite, so the problem is convex and
-        // projected gradient reaches the global relaxed optimum, which must
-        // lower-bound every feasible binary point.
-        use rand::Rng;
-        use rand_chacha::rand_core::SeedableRng;
+        // Rows `xᵢ = eᵢ − 1/n` (a regular simplex) have every pairwise
+        // similarity −1/n, so on `Σs = k` the objective is
+        // `(λ/n)‖s‖² + cᵀs` plus a constant: convex, and projected gradient
+        // reaches the global relaxed optimum.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
         for trial in 0..10 {
             let n = 6;
             let k = 2 + trial % 3;
-            let a: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut q = vec![0.0f64; n * n];
-            for i in 0..n {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for r in 0..n {
-                        acc += a[r * n + i] * a[r * n + j];
-                    }
-                    q[i * n + j] = acc;
-                }
-            }
+            let x: Vec<f32> = (0..n * n)
+                .map(|e| f32::from(u8::from(e / n == e % n)) - 1.0 / n as f32)
+                .collect();
+            let lambda = rng.gen_range(0.5..4.0);
             let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..0.0)).collect();
-            let problem = QpProblem::new(q, c, k as f64).unwrap();
-            let relaxed = QpSolver::new(2000, 1e-10).solve(&problem).objective;
+            let problem = QpProblem::new(x, n, lambda, c, k as f64).unwrap();
+            let relaxed = QpSolver {
+                max_iters: 2000,
+                tol: 1e-10,
+            }
+            .solve(&problem)
+            .objective;
             let binary = binary_optimum(&problem, k);
             assert!(
                 relaxed <= binary + 1e-6,
                 "trial {trial}: relaxed {relaxed} exceeds binary optimum {binary}"
             );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_top_k_matches_dense_reference(
+            n in 2usize..48,
+            dim in 1usize..34,
+            lambda in 0.0f64..2.0,
+            frac in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let x = random_embeddings(n, dim, seed);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(!seed);
+            let c: Vec<f64> = (0..n).map(|_| -rng.gen_range(0.0f64..0.5)).collect();
+            let k = ((frac * n as f64) as usize).max(1);
+            let solver = QpSolver::default();
+            let dense = DenseQp::from_f32_similarities(&x, dim, lambda, c.clone(), k as f64)
+                .solve(solver.max_iters, solver.tol);
+            // Only a clear gap between the k-th and (k+1)-th dense values
+            // defines the top-k set; near-ties may round either way.
+            let mut sorted = dense.values.clone();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            prop_assume!(k == n || sorted[k - 1] - sorted[k] > 1e-6);
+            let problem = QpProblem::new(x, dim, lambda, c, k as f64).unwrap();
+            let low_rank = solver.solve(&problem);
+            let mut want = dense.top_k_indices(k);
+            let mut got = low_rank.top_k_indices(k);
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want);
         }
     }
 }
