@@ -117,6 +117,35 @@ fn generation_matches_pinned_digest() {
     }
 }
 
+/// Pins what `generation_digest` leaves out: every clip's layout-map origin
+/// and the exact-pattern clustering that `Signature::exact_hash` induces.
+/// The partition is hashed as, for each clip, the index of the first clip
+/// with an equal `exact_hash`, so the digest does not depend on the raw
+/// `DefaultHasher` values, which may change between Rust releases.
+#[test]
+fn generation_layout_matches_pinned_digest() {
+    let mut h = Fnv1a::new();
+    for tech in [Tech::Duv28, Tech::Euv7] {
+        let bench = GeneratedBenchmark::generate(&spec_for(tech), 31).expect("generation succeeds");
+        h.u64(bench.origins().len() as u64);
+        for origin in bench.origins() {
+            h.u64(origin.x as u64);
+            h.u64(origin.y as u64);
+        }
+        let mut first_with_hash = std::collections::HashMap::new();
+        for (i, signature) in bench.signatures().iter().enumerate() {
+            let first = *first_with_hash.entry(signature.exact_hash).or_insert(i);
+            h.u64(first as u64);
+        }
+    }
+    let expected = 0x336c_8f5f_5277_71a5u64;
+    assert_eq!(
+        h.0, expected,
+        "generation layout digest {:#018x} differs from the pinned value",
+        h.0
+    );
+}
+
 fn f32_bits(h: &mut Fnv1a, values: &[f32]) {
     h.u64(values.len() as u64);
     for &v in values {
