@@ -14,7 +14,12 @@ use hotspot_bench::{try_generate, write_json, ExperimentArgs};
 use hotspot_layout::BenchmarkSpec;
 use hotspot_qp::QpSolver;
 use serde::Serialize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Shortest wall time each side is timed for. A sub-millisecond call timed
+/// only `--repeats` times reads mostly host noise; this many calls average
+/// it out.
+const MIN_WALL: Duration = Duration::from_secs(1);
 
 #[derive(Debug, Serialize)]
 struct Fig3bResult {
@@ -37,26 +42,17 @@ fn main() {
     let uncertainty = vec![0.5f32; query.len()];
     let k = 25;
 
-    // Warm up and measure over repeats.
-    let repeats = args.repeats.max(3) as u32;
-    let start = Instant::now();
-    for _ in 0..repeats {
-        let scores = diversity_scores(&embeddings);
-        std::hint::black_box(scores);
-    }
-    let ours = start.elapsed().as_secs_f64() / repeats as f64;
-
+    let ours = seconds_per_call(args.repeats, || {
+        std::hint::black_box(diversity_scores(&embeddings));
+    });
     let selector = QpSelector::new();
     let solver = QpSolver::default();
-    let start = Instant::now();
-    for _ in 0..repeats {
+    let qp = seconds_per_call(args.repeats, || {
         let problem = selector
             .build_problem(&embeddings, &uncertainty, k)
             .unwrap();
-        let solution = solver.solve(&problem);
-        std::hint::black_box(solution);
-    }
-    let qp = start.elapsed().as_secs_f64() / repeats as f64;
+        std::hint::black_box(solver.solve(&problem));
+    });
 
     println!(
         "Fig. 3(b): diversity metric runtime ({} query clips)",
@@ -81,4 +77,17 @@ fn main() {
         },
     );
     args.finish_telemetry();
+}
+
+/// Mean wall seconds per call of `f`, after one untimed warm-up call, over
+/// at least `repeats` calls and at least [`MIN_WALL`].
+fn seconds_per_call(repeats: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = Instant::now();
+    let mut calls = 0usize;
+    while calls < repeats || start.elapsed() < MIN_WALL {
+        f();
+        calls += 1;
+    }
+    start.elapsed().as_secs_f64() / calls as f64
 }
