@@ -1,11 +1,10 @@
 use hotspot_active::{BatchSelector, EntropySelector, RandomSelector, UncertaintySelector};
-use serde::{Deserialize, Serialize};
 
 use crate::QpSelector;
 
 /// The learning-based sampling methods of Table II (and Fig. 4 / Fig. 6):
 /// the one registry from a method name to its batch selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActiveMethod {
     /// The paper's entropy-based sampler.
     Ours,

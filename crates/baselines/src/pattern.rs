@@ -1,6 +1,5 @@
 use hotspot_layout::{GeneratedBenchmark, Signature};
 use hotspot_litho::{Label, LithoOracle};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// quadratic on the 163 k-clip ICCAD12 population; the pooling edge and
 /// quantisation level play the role of the paper's similarity thresholds
 /// (smaller pools / fewer levels ⇔ lower thresholds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MatchMode {
     /// Identical quantised rasters.
     Exact,
@@ -27,14 +26,14 @@ enum MatchMode {
 /// The pattern-matching hotspot detector (Table II baselines).
 ///
 /// See the [crate-level documentation](crate) for semantics and an example.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternMatcher {
     mode: MatchMode,
     name: &'static str,
 }
 
 /// Result of a pattern-matching run over one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternMatchOutcome {
     /// Method name (`"PM-exact"`, `"PM-a95"`, …).
     pub name: String,

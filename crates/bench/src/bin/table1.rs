@@ -7,6 +7,16 @@
 
 use hotspot_bench::{write_json, ExperimentArgs};
 use hotspot_layout::{bench_suite, BenchmarkStats, GeneratedBenchmark};
+use serde::Serialize;
+
+/// One row of `table1.json`: the fields of [`BenchmarkStats`], in order.
+#[derive(Debug, Serialize)]
+struct Table1Row {
+    name: String,
+    hotspots: usize,
+    non_hotspots: usize,
+    tech_nm: u32,
+}
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -17,11 +27,16 @@ fn main() {
         "{:<12} {:>8} {:>10} {:>6}",
         "Benchmarks", "HS #", "NHS #", "Tech(nm)"
     );
-    let mut stats = Vec::new();
+    let mut rows = Vec::new();
     for spec in &specs {
         let s = BenchmarkStats::from(spec);
         println!("{s}");
-        stats.push(s);
+        rows.push(Table1Row {
+            name: s.name,
+            hotspots: s.hotspots,
+            non_hotspots: s.non_hotspots,
+            tech_nm: s.tech_nm,
+        });
     }
 
     // Generate and verify realised counts for every benchmark the scale
@@ -49,6 +64,6 @@ fn main() {
         assert!(ok, "generated counts diverge from the specification");
     }
 
-    write_json(&args.out, "table1", &stats);
+    write_json(&args.out, "table1", &rows);
     args.finish_telemetry();
 }

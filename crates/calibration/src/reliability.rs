@@ -1,8 +1,7 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One equal-width confidence bin of a reliability diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityBin {
     /// Inclusive lower confidence edge.
     pub lower: f64,
@@ -32,7 +31,7 @@ impl ReliabilityBin {
 /// let diagram = ReliabilityDiagram::from_predictions(&[0.9, 0.9], &[true, false], 10);
 /// assert!((diagram.ece() - 0.4).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityDiagram {
     bins: Vec<ReliabilityBin>,
     total: usize,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error type for temperature fitting.
@@ -55,7 +54,7 @@ impl std::error::Error for CalibrationError {}
 /// A fitted softmax temperature (Eq. 5 of the paper).
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Temperature {
     value: f64,
 }

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// How the two score components are combined into the entropy-based score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightMode {
     /// Dynamic entropy weighting (Eq. 10–13) — the paper's method.
     Entropy,
@@ -14,7 +12,7 @@ pub enum WeightMode {
 }
 
 /// Ablation switches for the Table III study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AblationConfig {
     /// Use the uncertainty component ("w/o.U" disables it).
     pub uncertainty: bool,
@@ -36,7 +34,7 @@ impl Default for AblationConfig {
 }
 
 /// Configuration of the overall sampling framework (Algorithm 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingConfig {
     /// Initial labelled training-set size `|L₀|`.
     pub initial_train: usize,

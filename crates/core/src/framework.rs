@@ -13,11 +13,10 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Telemetry of one sampling iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationStats {
     /// Iteration number (1-based).
     pub iteration: usize,
@@ -40,7 +39,7 @@ pub struct IterationStats {
 
 /// Fault-handling telemetry of one full run: what the degradation-aware
 /// Algorithm-2 loop absorbed instead of aborting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunFaultStats {
     /// Labelling attempts that terminally failed; the affected clips were
     /// returned to the unlabeled pool (initial split, top-up, and batch

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// PSHD evaluation metrics (Eq. 1–2 of the paper).
@@ -11,7 +10,7 @@ use std::fmt;
 ///   (which a real flow must verify), and any extra billable re-simulations
 ///   (quorum re-labelling votes under a fault-tolerant oracle; zero in a
 ///   fault-free run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PshdMetrics {
     /// Detection accuracy in `[0, 1]` (Eq. 1).
     pub accuracy: f64,

@@ -1,5 +1,4 @@
 use crate::{Coord, GeomError, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A layout clip window with a centred core region.
@@ -16,7 +15,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClipWindow {
     window: Rect,
     core: Rect,

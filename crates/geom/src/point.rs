@@ -1,5 +1,4 @@
 use crate::Coord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -10,9 +9,7 @@ use std::ops::{Add, Sub};
 /// let p = Point::new(10, 20) + Point::new(-3, 5);
 /// assert_eq!(p, Point::new(7, 25));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Point {
     /// Horizontal coordinate in nanometres.
     pub x: Coord,

@@ -1,5 +1,4 @@
 use crate::{Coord, GeomError, Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectilinear (Manhattan) polygon, stored as its vertex loop.
@@ -26,7 +25,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Polygon {
     vertices: Vec<Point>,
 }

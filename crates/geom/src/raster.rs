@@ -1,5 +1,4 @@
 use crate::{ClipWindow, Coord, GeomError, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of pixels a raster may hold (guards against accidental
 /// full-chip rasterisation at 1 nm pitch).
@@ -21,7 +20,7 @@ const MAX_PIXELS: i64 = 64 * 1024 * 1024;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
     region: Rect,
     pitch: Coord,

@@ -1,5 +1,4 @@
 use crate::{Coord, GeomError, Point};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle with integer nanometre coordinates.
@@ -16,7 +15,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rect {
     x0: Coord,
     y0: Coord,

@@ -1,8 +1,7 @@
 use crate::{kmeans_plus_plus, GmmError};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an EM fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GmmConfig {
     /// Number of mixture components.
     pub components: usize,
@@ -31,7 +30,7 @@ impl Default for GmmConfig {
 /// A fitted diagonal-covariance Gaussian mixture.
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianMixture {
     dim: usize,
     weights: Vec<f64>,

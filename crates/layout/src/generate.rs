@@ -9,11 +9,12 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A fully generated benchmark: labels, features, and signatures for every
-/// clip, with rasters regenerable on demand.
+/// clip, with rasters regenerable on demand. It lives in memory only; the
+/// same spec and seed regenerate it exactly.
 ///
 /// See the [crate-level documentation](crate) for design rationale and an
 /// example.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratedBenchmark {
     spec: BenchmarkSpec,
     recipes: Vec<ClipRecipe>,
@@ -295,50 +296,6 @@ impl GeneratedBenchmark {
     pub fn core(&self) -> Rect {
         core_rect(&self.spec)
     }
-
-    /// Serialises the benchmark as JSON (features, labels, signatures,
-    /// recipes — everything except rasters, which regenerate from recipes).
-    /// Generation of the full-scale ICCAD12 population labels 163 400 clips
-    /// through the litho simulator; caching the result makes experiment
-    /// re-runs instant. A mut reference works as the writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and serialisation failures.
-    pub fn write_json<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
-        serde_json::to_writer(writer, self).map_err(std::io::Error::other)
-    }
-
-    /// Loads a benchmark saved by [`GeneratedBenchmark::write_json`],
-    /// validating internal consistency. A mut reference works as the reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error for unreadable input and a
-    /// [`LayoutError::BadSpec`] (wrapped in `io::Error`) when the archive's
-    /// counts are inconsistent (truncated or hand-edited files).
-    pub fn read_json<R: std::io::Read>(reader: R) -> std::io::Result<Self> {
-        let bench: GeneratedBenchmark =
-            serde_json::from_reader(reader).map_err(std::io::Error::other)?;
-        let n = bench.labels.len();
-        let hotspots = bench.labels.iter().filter(|l| l.is_hotspot()).count();
-        let consistent = bench.recipes.len() == n
-            && bench.origins.len() == n
-            && bench.signatures.len() == n
-            && bench.dct.rows() == n
-            && bench.density.rows() == n
-            && bench.hotspot_count == hotspots
-            && bench
-                .recipes
-                .iter()
-                .all(|r| !matches!(r, ClipRecipe::Duplicate { source } if *source >= n));
-        if !consistent {
-            return Err(std::io::Error::other(LayoutError::BadSpec {
-                detail: "benchmark archive is internally inconsistent".to_owned(),
-            }));
-        }
-        Ok(bench)
-    }
 }
 
 /// Feature row of one clip: [`FeatureExtractor::clip_features`] of the core
@@ -487,32 +444,6 @@ mod tests {
             .filter(|l| l.is_hotspot())
             .count();
         assert!(first_quarter_hs < 12, "labels appear sorted by class");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_everything() {
-        let bench = GeneratedBenchmark::generate(&small_spec(), 3).unwrap();
-        let mut buffer = Vec::new();
-        bench.write_json(&mut buffer).unwrap();
-        let back = GeneratedBenchmark::read_json(buffer.as_slice()).unwrap();
-        assert_eq!(back.labels(), bench.labels());
-        assert_eq!(back.recipes(), bench.recipes());
-        assert_eq!(back.dct_features(), bench.dct_features());
-        assert_eq!(back.signatures(), bench.signatures());
-        // Rasters regenerate identically from the loaded recipes.
-        assert_eq!(back.clip_raster(5), bench.clip_raster(5));
-    }
-
-    #[test]
-    fn read_json_rejects_corrupted_archives() {
-        let bench = GeneratedBenchmark::generate(&small_spec(), 3).unwrap();
-        let mut buffer = Vec::new();
-        bench.write_json(&mut buffer).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        // Flip one label so the hotspot tally no longer matches.
-        let corrupted = text.replacen("\"NonHotspot\"", "\"Hotspot\"", 1);
-        assert!(GeneratedBenchmark::read_json(corrupted.as_bytes()).is_err());
-        assert!(GeneratedBenchmark::read_json(&b"not json"[..]).is_err());
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! Generated benchmarks store per-clip features and signatures, not rasters
 //! (full-scale ICCAD12 has 163 400 clips); any clip raster can be
 //! regenerated deterministically via [`GeneratedBenchmark::clip_raster`].
+//! A benchmark is not saved to disk either: [`GeneratedBenchmark::generate`]
+//! is deterministic in its spec and seed, so callers regenerate it.
 //!
 //! # Example
 //!

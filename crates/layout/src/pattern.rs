@@ -3,10 +3,9 @@ use hotspot_geom::{Coord, Point, Raster, Rect};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// The pattern family a clip was synthesised from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClipFamily {
     /// Comfortable routing tracks; prints cleanly.
     Safe,
@@ -27,7 +26,7 @@ impl ClipFamily {
 }
 
 /// The deterministic recipe that regenerates one clip's geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClipRecipe {
     /// A freshly drawn pattern.
     Fresh {

@@ -1,5 +1,4 @@
 use hotspot_geom::{Raster, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -14,7 +13,7 @@ pub(crate) const DENSITY_EDGE: usize = 12;
 /// * `core_density` — a `12 × 12` quantised density grid over the clip
 ///   *core*, the representation fuzzy matchers compare. The paper's fuzzy
 ///   experiments likewise restrict to the centre region of each clip.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Exact-pattern cluster key.
     pub exact_hash: u64,

@@ -1,11 +1,10 @@
 use crate::LayoutError;
 use hotspot_geom::Coord;
 use hotspot_litho::LithoConfig;
-use serde::{Deserialize, Serialize};
 
 /// Technology node of a benchmark — selects the lithography model and the
 /// geometry windows that print cleanly, marginally, or defectively under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tech {
     /// 28 nm-class DUV metal (ICCAD12-like).
     Duv28,
@@ -19,7 +18,7 @@ pub enum Tech {
 /// [`LithoConfig`]; the `hot` windows reliably pinch or bridge; `near`
 /// windows are printable but close to the cliff — they become the hard
 /// non-hotspots a detector tends to false-alarm on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometryParams {
     /// Safe wire widths (inclusive range).
     pub safe_width: (Coord, Coord),
@@ -119,7 +118,7 @@ impl Tech {
 }
 
 /// Specification of one benchmark: cardinalities and technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Benchmark name (e.g. `"ICCAD12"`).
     pub name: String,

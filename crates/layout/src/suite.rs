@@ -1,9 +1,8 @@
 use crate::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Statistics row of one benchmark, as printed in Table I of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchmarkStats {
     /// Benchmark name.
     pub name: String,

@@ -1,5 +1,4 @@
 use hotspot_geom::Coord;
-use serde::{Deserialize, Serialize};
 
 /// Tuning parameters of the lithography model.
 ///
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// 10 nm/pixel: features ≳ 60 nm wide print reliably, slots ≳ 60 nm resolve,
 /// and anything much tighter bridges or pinches. Benchmark presets derive
 /// scaled variants (see `hotspot-layout`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LithoConfig {
     /// Raster pixel pitch in nanometres.
     pub pitch: Coord,
@@ -76,13 +75,5 @@ mod tests {
         assert!((c.sigma_px() - 3.0).abs() < 1e-9);
         let e = LithoConfig::euv_7nm();
         assert!((e.sigma_px() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = LithoConfig::euv_7nm();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: LithoConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

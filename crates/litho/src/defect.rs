@@ -1,10 +1,9 @@
 use crate::{Bitmap, LithoConfig};
 use hotspot_geom::{Point, Raster, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The failure mode of a printed-contour defect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefectKind {
     /// A single printed component spans two or more distinct design shapes —
     /// neighbouring shapes merged.
@@ -24,7 +23,7 @@ impl fmt::Display for DefectKind {
 }
 
 /// A single lithography defect found inside a clip core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Defect {
     /// Failure mode.
     pub kind: DefectKind,

@@ -13,7 +13,6 @@ use hotspot_telemetry as telemetry;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-attempt fault probabilities of a [`FaultyOracle`].
@@ -22,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// [`OracleError`] variants *before* the inner oracle is consulted (a failed
 /// job bills no simulation). `flip` silently negates the returned label —
 /// the corruption that only quorum re-simulation can catch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     /// Probability of [`OracleError::Transient`] per attempt.
     pub transient: f64,
@@ -56,7 +55,7 @@ impl FaultRates {
 }
 
 /// Tally of the faults a [`FaultyOracle`] has injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultInjectionStats {
     /// Transient failures injected.
     pub transients: usize,

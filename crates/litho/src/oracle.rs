@@ -1,5 +1,4 @@
 use crate::Label;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use std::fmt;
 /// transiently, exceed deadlines, or come back corrupted; the taxonomy below
 /// is what a retry policy ([`crate::RetryOracle`]) needs to decide whether a
 /// failure is worth re-attempting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleError {
     /// The simulation job failed for an ephemeral reason (farm hiccup,
     /// preempted worker). Retryable.
@@ -241,7 +240,7 @@ pub struct FaultMeterState {
 }
 
 /// Aggregate statistics of an oracle's usage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
     /// Billable simulations (distinct clips plus cache-bypassing
     /// re-simulations) — the litho-clip count of Eq. 2.

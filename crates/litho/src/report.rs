@@ -1,9 +1,8 @@
 use crate::Defect;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The binary outcome of lithography analysis on one clip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// At least one defect in the core region.
     Hotspot,
@@ -50,7 +49,7 @@ impl fmt::Display for Label {
 }
 
 /// The full result of analysing one clip: the defects found in its core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LithoReport {
     defects: Vec<Defect>,
 }

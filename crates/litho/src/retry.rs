@@ -14,7 +14,6 @@ use hotspot_telemetry as telemetry;
 use hotspot_telemetry::{Clock, SystemClock};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Bounded exponential backoff with deterministic jitter.
@@ -25,7 +24,7 @@ use std::time::Duration;
 /// `(seed, n)`. With the effective jitter clamped to `multiplier − 1`,
 /// the delay sequence is monotone non-decreasing — later attempts never
 /// wait less (see the property test in `tests/retry_backoff.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts per query (≥ 1); the first attempt counts.
     pub max_attempts: usize,

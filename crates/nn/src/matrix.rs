@@ -1,5 +1,4 @@
 use crate::NnError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major `f32` matrix; rows are samples. This is the single
@@ -16,7 +15,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

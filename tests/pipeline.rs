@@ -151,26 +151,6 @@ fn calibration_component_improves_reliability_on_average() {
 }
 
 #[test]
-fn archived_benchmark_reproduces_the_run() {
-    // Save → load → run must give bit-identical results to running on the
-    // fresh benchmark (the cache layer cannot change science).
-    let bench = test_benchmark(8);
-    let mut buffer = Vec::new();
-    bench.write_json(&mut buffer).expect("serialise benchmark");
-    let loaded =
-        lithohd::layout::GeneratedBenchmark::read_json(buffer.as_slice()).expect("load archive");
-    let framework = SamplingFramework::new(quick_config(bench.len()));
-    let fresh = framework
-        .run(&bench, &mut EntropySelector::new(), 6)
-        .expect("fresh run succeeds");
-    let cached = framework
-        .run(&loaded, &mut EntropySelector::new(), 6)
-        .expect("cached run succeeds");
-    assert_eq!(fresh.metrics, cached.metrics);
-    assert_eq!(fresh.sampled_indices, cached.sampled_indices);
-}
-
-#[test]
 fn regenerated_rasters_reproduce_oracle_labels() {
     // The litho simulator, generator and oracle must agree end to end.
     let bench = test_benchmark(7);
