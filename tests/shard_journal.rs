@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use hotspot_bench::{ActiveMethod, RunPlan, RunRecord, ShardSpec};
+use hotspot_bench::{ActiveMethod, RunPlan, ShardSpec};
 use hotspot_telemetry::{self as telemetry, JsonlSink, Sink};
 use lithohd::active::SamplingConfig;
 use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark, Tech};
@@ -53,7 +53,7 @@ fn campaign(
             };
             plan.run(bench, config, SEED, None)
         })
-        .map(|record: RunRecord| (record.accuracy, record.litho))
+        .map(|record| (record.accuracy, record.litho))
         .collect()
 }
 
