@@ -1,5 +1,5 @@
 use crate::pattern::{synthesize, ClipFamily, ClipRecipe};
-use crate::{BenchmarkSpec, LayoutError, Signature};
+use crate::{pool, BenchmarkSpec, LayoutError, Signature, Tech};
 use hotspot_features::FeatureExtractor;
 use hotspot_geom::{Point, Raster, Rect};
 use hotspot_litho::{CountingOracle, Label, LithoSimulator};
@@ -44,6 +44,10 @@ impl GeneratedBenchmark {
     /// with some probability a candidate instead duplicates an earlier
     /// accepted clip (sharing its pattern and label).
     ///
+    /// Each batch's candidates are labelled on all cores, but they are
+    /// drawn and accepted serially and in order, so the benchmark is the
+    /// same, bit for bit, whatever the core count.
+    ///
     /// # Errors
     ///
     /// Returns [`LayoutError::BadSpec`] for an invalid specification and
@@ -51,17 +55,25 @@ impl GeneratedBenchmark {
     /// produce the requested labels (which would indicate a litho-model /
     /// generator mismatch — covered by tests).
     pub fn generate(spec: &BenchmarkSpec, seed: u64) -> Result<Self, LayoutError> {
+        Self::generate_in_chunks(spec, seed, pool::workers())
+    }
+
+    /// [`GeneratedBenchmark::generate`], labelling each batch in up to
+    /// `chunks` chunks.
+    fn generate_in_chunks(
+        spec: &BenchmarkSpec,
+        seed: u64,
+        chunks: usize,
+    ) -> Result<Self, LayoutError> {
         spec.validate()?;
         let tech = spec.tech;
-        let sim = LithoSimulator::new(tech.litho_config());
-        let extractor = FeatureExtractor::standard();
         let core = core_rect(spec);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut recipes: Vec<ClipRecipe> = Vec::with_capacity(spec.total());
         let mut labels: Vec<Label> = Vec::with_capacity(spec.total());
-        let mut dct_rows: Vec<Vec<f32>> = Vec::with_capacity(spec.total());
-        let mut density_rows: Vec<Vec<f32>> = Vec::with_capacity(spec.total());
+        let mut dct_rows = Rows::new("DCT", spec.total());
+        let mut density_rows = Rows::new("density", spec.total());
         let mut signatures: Vec<Signature> = Vec::with_capacity(spec.total());
         let mut fresh_indices: Vec<usize> = Vec::new();
 
@@ -110,8 +122,8 @@ impl GeneratedBenchmark {
                 }
                 recipes.push(ClipRecipe::Duplicate { source });
                 labels.push(label);
-                dct_rows.push(dct_rows[source].clone());
-                density_rows.push(density_rows[source].clone());
+                dct_rows.push_copy(source);
+                density_rows.push_copy(source);
                 signatures.push(signatures[source].clone());
                 match label {
                     Label::Hotspot => hotspots += 1,
@@ -129,23 +141,8 @@ impl GeneratedBenchmark {
                 })
                 .collect();
             attempts += specs.len();
-            let candidates: Vec<Candidate> = specs
-                .into_iter()
-                .map(|(family, clip_seed)| {
-                    let raster = synthesize(tech, family, clip_seed);
-                    let label = sim.label(&raster, core);
-                    Candidate {
-                        recipe: ClipRecipe::Fresh {
-                            family,
-                            seed: clip_seed,
-                        },
-                        label,
-                        dct: clip_features(&extractor, &raster, core),
-                        density: extractor.density_features(&raster),
-                        signature: Signature::from_raster(&raster, core),
-                    }
-                })
-                .collect();
+            let candidates =
+                pool::map_chunks(specs, chunks, move |specs| label_chunk(tech, core, specs));
             for c in candidates {
                 let fits = match c.label {
                     Label::Hotspot => hotspots < spec.hotspots,
@@ -157,8 +154,8 @@ impl GeneratedBenchmark {
                 fresh_indices.push(recipes.len());
                 recipes.push(c.recipe);
                 labels.push(c.label);
-                dct_rows.push(c.dct);
-                density_rows.push(c.density);
+                dct_rows.push(&c.dct)?;
+                density_rows.push(&c.density)?;
                 signatures.push(c.signature);
                 match c.label {
                     Label::Hotspot => hotspots += 1,
@@ -186,9 +183,9 @@ impl GeneratedBenchmark {
             })
             .collect();
         let labels: Vec<Label> = order.iter().map(|&i| labels[i]).collect();
-        let dct_rows: Vec<Vec<f32>> = order.iter().map(|&i| dct_rows[i].clone()).collect();
-        let density_rows: Vec<Vec<f32>> = order.iter().map(|&i| density_rows[i].clone()).collect();
-        let signatures: Vec<Signature> = order.iter().map(|&i| signatures[i].clone()).collect();
+        let mut signatures: Vec<Option<Signature>> = signatures.into_iter().map(Some).collect();
+        let signatures: Vec<Signature> =
+            order.iter().filter_map(|&i| signatures[i].take()).collect();
 
         let grid = (recipes.len() as f64).sqrt().ceil() as usize;
         let edge = tech.clip_edge();
@@ -196,19 +193,13 @@ impl GeneratedBenchmark {
             .map(|i| Point::new((i % grid) as i64 * edge, (i / grid) as i64 * edge))
             .collect();
 
-        let dct = Matrix::from_rows(&dct_rows).map_err(|e| LayoutError::BadSpec {
-            detail: format!("non-uniform DCT feature widths: {e}"),
-        })?;
-        let density = Matrix::from_rows(&density_rows).map_err(|e| LayoutError::BadSpec {
-            detail: format!("non-uniform density feature widths: {e}"),
-        })?;
         Ok(GeneratedBenchmark {
             spec: spec.clone(),
             recipes,
             labels,
             origins,
-            dct,
-            density,
+            dct: dct_rows.into_matrix(&order),
+            density: density_rows.into_matrix(&order),
             signatures,
             hotspot_count: hotspots,
         })
@@ -298,11 +289,91 @@ impl GeneratedBenchmark {
     }
 }
 
+/// Synthesises, labels and featurises one chunk of a batch's candidates,
+/// in order.
+fn label_chunk(tech: Tech, core: Rect, specs: &[(ClipFamily, u64)]) -> Vec<Candidate> {
+    let sim = LithoSimulator::new(tech.litho_config());
+    let extractor = FeatureExtractor::standard();
+    specs
+        .iter()
+        .map(|&(family, seed)| {
+            let raster = synthesize(tech, family, seed);
+            Candidate {
+                recipe: ClipRecipe::Fresh { family, seed },
+                label: sim.label(&raster, core),
+                dct: clip_features(&extractor, &raster, core),
+                density: extractor.density_features(&raster),
+                signature: Signature::from_raster(&raster, core),
+            }
+        })
+        .collect()
+}
+
 /// Feature row of one clip: [`FeatureExtractor::clip_features`] of the core
 /// crop (double effective resolution where defects count).
 fn clip_features(extractor: &FeatureExtractor, raster: &Raster, core: Rect) -> Vec<f32> {
     let core_crop = raster.crop(&core).unwrap_or_else(|| raster.clone());
     extractor.clip_features(&core_crop)
+}
+
+/// The accepted clips' feature rows of one kind, in acceptance order, in
+/// one row-major buffer: a row is copied in once on acceptance and once
+/// more into its shuffled place in the final matrix.
+struct Rows {
+    kind: &'static str,
+    capacity: usize,
+    cols: Option<usize>,
+    flat: Vec<f32>,
+}
+
+impl Rows {
+    fn new(kind: &'static str, capacity: usize) -> Self {
+        Rows {
+            kind,
+            capacity,
+            cols: None,
+            flat: Vec::new(),
+        }
+    }
+
+    /// Appends a row; the first row fixes the width.
+    fn push(&mut self, row: &[f32]) -> Result<(), LayoutError> {
+        let cols = match self.cols {
+            Some(cols) => cols,
+            None => {
+                self.flat.reserve_exact(self.capacity * row.len());
+                *self.cols.insert(row.len())
+            }
+        };
+        if row.len() != cols {
+            return Err(LayoutError::BadSpec {
+                detail: format!(
+                    "non-uniform {} feature widths: expected {cols}, found {}",
+                    self.kind,
+                    row.len()
+                ),
+            });
+        }
+        self.flat.extend_from_slice(row);
+        Ok(())
+    }
+
+    /// Appends a copy of row `source`.
+    fn push_copy(&mut self, source: usize) {
+        let cols = self.cols.unwrap_or(0);
+        self.flat
+            .extend_from_within(source * cols..(source + 1) * cols);
+    }
+
+    /// The matrix whose row `k` is row `order[k]`.
+    fn into_matrix(self, order: &[usize]) -> Matrix {
+        let cols = self.cols.unwrap_or(0);
+        let mut flat = Vec::with_capacity(order.len() * cols);
+        for &i in order {
+            flat.extend_from_slice(&self.flat[i * cols..(i + 1) * cols]);
+        }
+        Matrix::from_flat(order.len(), cols, flat)
+    }
 }
 
 fn core_rect(spec: &BenchmarkSpec) -> Rect {
@@ -444,6 +515,29 @@ mod tests {
             .filter(|l| l.is_hotspot())
             .count();
         assert!(first_quarter_hs < 12, "labels appear sorted by class");
+    }
+
+    #[test]
+    fn chunk_count_does_not_change_the_benchmark() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let serial = GeneratedBenchmark::generate_in_chunks(&small_spec(), 7, 1).unwrap();
+        for chunks in [2, 3, 7] {
+            let chunked = GeneratedBenchmark::generate_in_chunks(&small_spec(), 7, chunks).unwrap();
+            assert_eq!(chunked.labels(), serial.labels(), "{chunks} chunks");
+            assert_eq!(chunked.recipes(), serial.recipes(), "{chunks} chunks");
+            assert_eq!(chunked.origins(), serial.origins(), "{chunks} chunks");
+            assert_eq!(chunked.signatures(), serial.signatures(), "{chunks} chunks");
+            assert_eq!(
+                bits(chunked.dct_features()),
+                bits(serial.dct_features()),
+                "{chunks} chunks"
+            );
+            assert_eq!(
+                bits(chunked.density_features()),
+                bits(serial.density_features()),
+                "{chunks} chunks"
+            );
+        }
     }
 
     #[test]

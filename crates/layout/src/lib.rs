@@ -42,6 +42,7 @@ mod error;
 mod generate;
 mod io;
 mod pattern;
+mod pool;
 mod signature;
 mod spec;
 mod suite;
