@@ -4,6 +4,9 @@
 //! journals, carry no shard provenance, and end on the same accuracy and
 //! Litho#.
 //!
+//! The single-worker journal is also pinned to a digest, so a change that
+//! moves any selection score, event or counter shows here.
+//!
 //! Journals are fed by the process-wide telemetry sinks and metrics
 //! registry, so this lives in its own test binary with a single test.
 
@@ -16,6 +19,13 @@ use lithohd::active::SamplingConfig;
 use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark, Tech};
 
 const SEED: u64 = 7;
+
+/// FNV-1a over `bytes`: a digest that is stable across Rust versions.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn bench_and_config() -> (GeneratedBenchmark, SamplingConfig) {
     let spec = BenchmarkSpec {
@@ -113,6 +123,12 @@ fn worker_count_does_not_change_canonical_journal_bytes() {
             "canonical journal leaked shard marker {banned:?}"
         );
     }
+    assert_eq!(
+        fnv1a(one),
+        0x06b7_fa4c_2a7b_1ec7,
+        "canonical journal digest {:#018x} differs from the pinned value",
+        fnv1a(one)
+    );
     assert_eq!(one_outcomes.len(), ActiveMethod::ALL.len());
     assert_eq!(one_outcomes, four_outcomes, "accuracy/Litho# differ");
 }
