@@ -8,13 +8,18 @@
 //! redirects — the server speaks none of those either.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// One persistent connection to an HTTP server.
+/// One persistent connection to an HTTP server, reopened for the next
+/// request after a response that carries `Connection: close`.
 #[derive(Debug)]
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
+    addr: SocketAddr,
+    read_timeout: Duration,
+    /// The last response announced `Connection: close`.
+    closed: bool,
 }
 
 /// A parsed response: status code, lowercased headers, body.
@@ -47,11 +52,12 @@ impl HttpClient {
     ///
     /// Propagates connection and socket-option failures.
     pub fn connect(addr: &str, read_timeout: Duration) -> io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_nodelay(true)?;
+        let stream = open(addr, read_timeout)?;
         Ok(HttpClient {
+            addr: stream.peer_addr()?,
             reader: BufReader::new(stream),
+            read_timeout,
+            closed: false,
         })
     }
 
@@ -85,6 +91,10 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
+        if self.closed {
+            self.reader = BufReader::new(open(self.addr, self.read_timeout)?);
+            self.closed = false;
+        }
         let payload = body.unwrap_or("");
         let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: lithohd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
@@ -94,7 +104,11 @@ impl HttpClient {
         stream.write_all(head.as_bytes())?;
         stream.write_all(payload.as_bytes())?;
         stream.flush()?;
-        self.read_response()
+        let response = self.read_response()?;
+        self.closed = response
+            .header("connection")
+            .is_some_and(|value| value.eq_ignore_ascii_case("close"));
+        Ok(response)
     }
 
     fn read_response(&mut self) -> io::Result<HttpResponse> {
@@ -137,5 +151,41 @@ impl HttpClient {
             headers,
             body,
         })
+    }
+}
+
+/// Opens a connection with a read timeout, so a wedged server fails the
+/// caller instead of hanging it.
+fn open(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hotspot_telemetry::{serve_http, HttpOptions, Request, Response};
+    use std::sync::Arc;
+
+    #[test]
+    fn reconnects_when_the_server_closes_at_its_keep_alive_cap() {
+        let options = HttpOptions {
+            max_keep_alive: 2,
+            ..HttpOptions::default()
+        };
+        let server = serve_http(
+            "127.0.0.1:0",
+            options,
+            Arc::new(|_: &Request| Response::json(200, "{}")),
+        )
+        .expect("server starts");
+        let addr = server.local_addr().to_string();
+        let mut client = HttpClient::connect(&addr, Duration::from_secs(5)).expect("connects");
+        for post in 0..5 {
+            let response = client.post_json("/score", "{}").expect("post answered");
+            assert_eq!(response.status, 200, "post {post}");
+        }
     }
 }
