@@ -97,7 +97,8 @@ pub fn ratio_row(rows: &[TableRow]) -> (TableRow, TableRow) {
 }
 
 /// Writes a serialisable result to `<dir>/<name>.json`, creating the
-/// directory when needed.
+/// directory when needed. The event it logs names the file, not `dir`, so
+/// canonical journals do not depend on `--out`.
 ///
 /// # Panics
 ///
@@ -113,7 +114,7 @@ pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
     hotspot_telemetry::info(
         "bench.report",
         "wrote result file",
-        &[("path", path.display().to_string().into())],
+        &[("file", format!("{name}.json").into())],
     );
 }
 

@@ -32,8 +32,9 @@ fn identically_seeded_runs_write_byte_identical_canonical_journals() {
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let first = dir.join("run1.jsonl");
     let second = dir.join("run2.jsonl");
-    run_pshd(&dir, &first);
-    run_pshd(&dir, &second);
+    // Different --out directories: the journal must not depend on them.
+    run_pshd(&dir.join("out1"), &first);
+    run_pshd(&dir.join("out2"), &second);
 
     let a = std::fs::read(&first).expect("read first journal");
     let b = std::fs::read(&second).expect("read second journal");

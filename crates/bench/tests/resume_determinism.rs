@@ -54,21 +54,21 @@ fn crashed_and_resumed_run_matches_uninterrupted_run_exactly() {
     let scratch =
         std::env::temp_dir().join(format!("lithohd-resume-determinism-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
-    // Both invocations share one --out so path-bearing telemetry events
-    // (e.g. "wrote result file") serialise identically in both journals.
-    let out = scratch.join("out");
-    std::fs::create_dir_all(&out).expect("create scratch dir");
+    // Each run writes to its own --out: canonical journals do not depend on
+    // the output directory.
+    let ref_out = scratch.join("out-reference");
+    let out = scratch.join("out-resumed");
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let ref_journal = scratch.join("reference.jsonl");
     let res_journal = scratch.join("resumed.jsonl");
     let ref_ckpt = scratch.join("ckpt-reference");
     let res_ckpt = scratch.join("ckpt-resumed");
+    let ref_results = ref_out.join("BENCH_pshd.json");
     let results = out.join("BENCH_pshd.json");
 
     // Uninterrupted reference run, checkpointing enabled.
-    let status = pshd(&out, &ref_journal, &ref_ckpt, &[]);
+    let status = pshd(&ref_out, &ref_journal, &ref_ckpt, &[]);
     assert!(status.success(), "reference pshd exited with {status}");
-    let ref_results = scratch.join("reference-results.json");
-    std::fs::rename(&results, &ref_results).expect("stash reference results");
 
     // Same invocation, killed immediately after the 5th checkpoint commit —
     // mid-way through the second of the four method runs.
