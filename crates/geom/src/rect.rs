@@ -40,15 +40,6 @@ impl Rect {
         Ok(Rect { x0, y0, x1, y1 })
     }
 
-    /// Creates a rectangle from its lower-left corner and a size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::InvertedRect`] if `width` or `height` is negative.
-    pub fn from_origin_size(origin: Point, width: Coord, height: Coord) -> Result<Self, GeomError> {
-        Rect::new(origin.x, origin.y, origin.x + width, origin.y + height)
-    }
-
     /// The rectangle spanning two corner points in any order. Infallible:
     /// the extent is normalised, so `spanning(a, b) == spanning(b, a)`.
     pub fn spanning(a: Point, b: Point) -> Self {
@@ -98,11 +89,6 @@ impl Rect {
     /// Whether the rectangle encloses zero area.
     pub fn is_empty(&self) -> bool {
         self.width() == 0 || self.height() == 0
-    }
-
-    /// Centre point, rounded towards negative infinity.
-    pub fn center(&self) -> Point {
-        Point::new(self.x0 + self.width() / 2, self.y0 + self.height() / 2)
     }
 
     /// Whether `p` lies inside the half-open extent.

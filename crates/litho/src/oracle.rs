@@ -321,13 +321,6 @@ impl CountingOracle {
         self.resimulations = 0;
     }
 
-    /// Read-only peek at the ground truth *without* paying for a simulation.
-    /// Only evaluation code (accuracy computation) may use this; samplers
-    /// must go through [`LithoOracle::query`].
-    pub fn ground_truth(&self) -> &[Label] {
-        &self.truth
-    }
-
     fn check_range(&self, index: usize) -> Result<(), OracleError> {
         if index < self.truth.len() {
             Ok(())

@@ -273,11 +273,6 @@ pub fn profile_report() -> String {
     global().profile.render()
 }
 
-/// Aggregated stats for one span path, if recorded.
-pub fn span_stat(path: &str) -> Option<SpanStat> {
-    global().profile.stat(path)
-}
-
 /// Flushes every sink.
 pub fn flush() {
     let sinks = recover(global().sinks.read());

@@ -164,11 +164,6 @@ impl JsonlSink {
         }
     }
 
-    /// Whether this journal withholds wall-clock and provenance data.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
     /// The current end-of-journal position (all records are flushed before
     /// this returns, so the position is durable).
     pub fn position(&self) -> JournalPosition {

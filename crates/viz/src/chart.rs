@@ -31,19 +31,6 @@ impl Series {
             color: None,
         }
     }
-
-    /// A series with an explicit colour.
-    pub fn with_color(
-        label: impl Into<String>,
-        points: Vec<(f64, f64)>,
-        color: impl Into<String>,
-    ) -> Series {
-        Series {
-            label: label.into(),
-            points,
-            color: Some(color.into()),
-        }
-    }
 }
 
 /// A multi-series line (or step) chart with axes, grid, and legend.
