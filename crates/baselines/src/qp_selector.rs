@@ -1,5 +1,5 @@
-use hotspot_active::{bvsb_scores, record_selection, BatchSelector, SelectionContext};
-use hotspot_nn::Matrix;
+use hotspot_active::{bvsb_scores, BatchSelector, SelectionContext};
+use hotspot_nn::{Matrix, SoftmaxCrossEntropy};
 use hotspot_qp::{QpError, QpProblem, QpSolver};
 
 /// The QP batch selector of Yang et al. (TCAD 2020, reference \[14\]).
@@ -72,7 +72,7 @@ impl QpSelector {
         // Q = 2λ(X̂X̂ᵀ − diag) makes the objective λ·Σ_{i≠j} sim(i, j)·sᵢsⱼ.
         let c: Vec<f64> = uncertainty.iter().map(|&u| -(u as f64)).collect();
         QpProblem::new(
-            l2_normalized_rows(embeddings),
+            embeddings.l2_normalized_rows().into_vec(),
             embeddings.cols(),
             self.lambda,
             c,
@@ -89,21 +89,19 @@ impl Default for QpSelector {
 
 impl BatchSelector for QpSelector {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> Vec<usize> {
-        if ctx.is_empty() || ctx.k == 0 {
+        if ctx.is_empty() || ctx.k() == 0 {
             return Vec::new();
         }
         // Raw softmax BvSB — deliberately uncalibrated, as in [14].
-        let raw = raw_softmax(ctx.logits);
-        let uncertainty = bvsb_scores(&raw);
+        let raw = SoftmaxCrossEntropy::probabilities(ctx.logits());
+        let uncertainty = bvsb_scores(raw.as_slice());
         // One BvSB score per pool row by construction, so the build cannot
         // fail; an empty pick is the safe degradation if it ever does.
-        let Ok(problem) = self.build_problem(ctx.embeddings, &uncertainty, ctx.k) else {
+        let Ok(problem) = self.build_problem(ctx.embeddings(), &uncertainty, ctx.k()) else {
             return Vec::new();
         };
         let solution = self.solver.solve(&problem);
-        let picked = solution.top_k_indices(ctx.k.min(ctx.len()));
-        record_selection(self.name(), ctx.len(), picked.len());
-        picked
+        solution.top_k_indices(ctx.k().min(ctx.len()))
     }
 
     fn name(&self) -> &'static str {
@@ -111,37 +109,10 @@ impl BatchSelector for QpSelector {
     }
 }
 
-fn raw_softmax(logits: &Matrix) -> Vec<f32> {
-    let mut out = Vec::with_capacity(logits.rows() * logits.cols());
-    for i in 0..logits.rows() {
-        let row = logits.row(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exp: Vec<f32> = row.iter().map(|&z| (z - max).exp()).collect();
-        let sum: f32 = exp.iter().sum();
-        out.extend(exp.into_iter().map(|e| e / sum));
-    }
-    out
-}
-
-/// The rows of `m`, each divided by its ℓ2 norm; (near-)zero rows are left
-/// as they are.
-fn l2_normalized_rows(m: &Matrix) -> Vec<f32> {
-    let mut out = m.as_slice().to_vec();
-    for row in out.chunks_exact_mut(m.cols().max(1)) {
-        let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-        if norm > 1e-12 {
-            for v in row.iter_mut() {
-                *v /= norm;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotspot_active::{AblationConfig, WeightMode};
+    use hotspot_active::SamplingConfig;
 
     fn fixture() -> (Matrix, Vec<f32>, Matrix) {
         // Items 0 and 1 are identical embeddings with high uncertainty;
@@ -171,16 +142,11 @@ mod tests {
         embeddings: &'a Matrix,
         k: usize,
     ) -> SelectionContext<'a> {
-        SelectionContext {
-            logits,
-            probabilities: probs,
-            embeddings,
-            k,
-            boundary_h: 0.4,
-            weight_mode: WeightMode::Entropy,
-            ablation: AblationConfig::default(),
-            rng_seed: 0,
-        }
+        let config = SamplingConfig {
+            batch: k,
+            ..SamplingConfig::for_benchmark(100)
+        };
+        SelectionContext::new(logits, probs, embeddings, &config, 0)
     }
 
     #[test]

@@ -98,9 +98,9 @@ pub struct SelectionRecord {
     pub clip: u64,
     /// 0-based position within the iteration's batch.
     pub rank: u64,
-    /// Boundary-weighted entropy score at selection time (Eq. 7).
+    /// Hotspot-aware calibrated uncertainty at selection time (Eq. 6).
     pub uncertainty: f64,
-    /// Embedding-space diversity score at selection time (Eq. 10).
+    /// Min-distance embedding diversity at selection time (Eq. 7).
     pub diversity: f64,
 }
 

@@ -16,7 +16,7 @@ use hotspot_nn::Matrix;
 /// ```
 pub fn diversity_matrix(embeddings: &Matrix) -> Vec<f32> {
     record_diversity_kernel(embeddings.rows(), embeddings.cols());
-    let normalized = l2_normalize_rows(embeddings);
+    let normalized = embeddings.l2_normalized_rows();
     let n = normalized.rows();
     let mut d = vec![0.0f32; n * n];
     for i in 0..n {
@@ -41,7 +41,7 @@ pub fn diversity_matrix(embeddings: &Matrix) -> Vec<f32> {
 /// which is the efficiency claim of Fig. 3(b).
 pub fn diversity_scores(embeddings: &Matrix) -> Vec<f32> {
     record_diversity_kernel(embeddings.rows(), embeddings.cols());
-    let normalized = l2_normalize_rows(embeddings);
+    let normalized = embeddings.l2_normalized_rows();
     let n = normalized.rows();
     if n == 1 {
         return vec![1.0];
@@ -76,20 +76,6 @@ fn record_diversity_kernel(n: usize, dim: usize) {
     counter(names::KERNEL_DIVERSITY_ELEMENTS).add(pairs);
     counter(names::KERNEL_DIVERSITY_FLOPS).add(pairs * 2 * dim + 3 * n as u64 * dim);
     counter(names::KERNEL_DIVERSITY_BYTES).add(4 * 2 * n as u64 * dim);
-}
-
-fn l2_normalize_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
-        let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-        if norm > 1e-12 {
-            for v in row.iter_mut() {
-                *v /= norm;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

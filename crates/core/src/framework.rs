@@ -1,7 +1,7 @@
+use crate::selector::record_selection;
 use crate::{
-    diversity_scores, uncertainty_scores, ActiveDataset, ActiveError, BatchSelector,
-    CheckpointHook, DatasetCheckpoint, HotspotModel, NoCheckpoint, PshdMetrics, RunCheckpoint,
-    SamplingConfig, SelectionContext,
+    ActiveDataset, ActiveError, BatchSelector, CheckpointHook, DatasetCheckpoint, HotspotModel,
+    NoCheckpoint, PshdMetrics, RunCheckpoint, SamplingConfig, SelectionContext,
 };
 use hotspot_calibration::{ReliabilityDiagram, Temperature};
 use hotspot_gmm::{GaussianMixture, GmmConfig};
@@ -220,9 +220,10 @@ impl SamplingFramework {
         let run_id = resume_cp
             .as_ref()
             .map_or_else(telemetry::next_run_id, |cp| cp.run_id);
+        let name = selector.name();
         let _run_span = telemetry::span(telemetry::names::SPAN_RUN)
             .with("run_id", run_id)
-            .with("selector", selector.name());
+            .with("selector", name);
 
         // Standardised DCT features for the classifier; raw density features
         // for the mixture model. Both are unlabeled-data statistics, so no
@@ -232,7 +233,7 @@ impl SamplingFramework {
 
         let state = match resume_cp {
             Some(cp) => resume_loop_state(cp, config, oracle, &features, seed, run_id)?,
-            None => fresh_loop_state(bench, config, oracle, &features, seed, run_id, selector)?,
+            None => fresh_loop_state(bench, config, oracle, &features, seed, run_id, name)?,
         };
         let LoopState {
             oracle_calls_before,
@@ -274,32 +275,29 @@ impl SamplingFramework {
             let qx = features.gather_rows(&query);
             let (logits, embeddings) = model.predict(&qx);
             let probabilities = temperature.probabilities_batch(logits.as_slice(), 2);
-            let ctx = SelectionContext {
-                logits: &logits,
-                probabilities: &probabilities,
-                embeddings: &embeddings,
-                k: config.batch,
-                boundary_h: config.boundary_h,
-                weight_mode: config.weight_mode,
-                ablation: config.ablation,
-                rng_seed: seed ^ iteration as u64,
-            };
+            let ctx = SelectionContext::new(
+                &logits,
+                &probabilities,
+                &embeddings,
+                config,
+                seed ^ iteration as u64,
+            );
             let picked_local = {
                 let _select_span =
                     telemetry::span(telemetry::names::SPAN_SELECT).with("pool", query.len() as u64);
-                selector.select(&ctx)
+                let picked = selector.select(&ctx);
+                record_selection(name, ctx.len(), picked.len());
+                picked
             };
             let batch: Vec<usize> = picked_local.iter().map(|&i| query[i]).collect();
             if batch.is_empty() {
                 break;
             }
             // Selection provenance for offline selection maps: one debug
-            // event per pick with the scores the selector weighed. Scoring
-            // is recomputed here, so gate on an attached sink to keep the
-            // no-telemetry path free of the extra O(pool²) diversity pass.
+            // event per pick with the context's Eq. 6 and Eq. 7 scores. A
+            // score the selector did not weigh is computed here, for a sink.
             if telemetry::has_sinks() {
-                let unc = uncertainty_scores(&probabilities, config.boundary_h);
-                let div = diversity_scores(&embeddings);
+                let (unc, div) = (ctx.uncertainty(), ctx.diversity());
                 for (rank, &local) in picked_local.iter().enumerate() {
                     telemetry::debug(
                         "core.framework",
@@ -502,7 +500,7 @@ impl SamplingFramework {
             telemetry::names::EVENT_RUN_COMPLETE,
             &[
                 ("run_id", run_id.into()),
-                ("selector", selector.name().into()),
+                ("selector", name.into()),
                 ("litho", (metrics.litho as u64).into()),
                 ("accuracy", metrics.accuracy.into()),
                 ("false_alarms", (false_alarms as u64).into()),
@@ -522,7 +520,7 @@ impl SamplingFramework {
             final_temperature: temperature.value(),
             ece_before,
             ece_after,
-            selector: selector.name().to_owned(),
+            selector: name.to_owned(),
             elapsed: start.elapsed(),
             sampled_indices,
             predicted_hotspots,
@@ -615,7 +613,7 @@ fn fresh_loop_state<O: LithoOracle + ?Sized>(
     features: &Matrix,
     seed: u64,
     run_id: u64,
-    selector: &dyn BatchSelector,
+    selector: &'static str,
 ) -> Result<LoopState, ActiveError> {
     let total = bench.len();
     // The oracle-call counter is process-wide and monotonic (parallel
@@ -626,7 +624,7 @@ fn fresh_loop_state<O: LithoOracle + ?Sized>(
         "run started",
         &[
             ("run_id", run_id.into()),
-            ("selector", selector.name().into()),
+            ("selector", selector.into()),
             ("seed", seed.into()),
             ("clips", (total as u64).into()),
             ("iterations", (config.iterations as u64).into()),

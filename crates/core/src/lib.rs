@@ -62,8 +62,7 @@ pub use framework::{
 pub use metrics::PshdMetrics;
 pub use model::{HotspotModel, ModelState};
 pub use selector::{
-    record_selection, BatchSelector, EntropySelector, RandomSelector, SelectionContext,
-    UncertaintySelector,
+    BatchSelector, EntropySelector, RandomSelector, SelectionContext, UncertaintySelector,
 };
 pub use uncertainty::{bvsb_scores, uncertainty_scores};
 pub use weighting::{entropy_weights, normalize_scores};

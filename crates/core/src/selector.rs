@@ -1,38 +1,80 @@
 use crate::{
     diversity_scores, entropy_weights, normalize_scores, uncertainty_scores, AblationConfig,
-    WeightMode,
+    SamplingConfig, WeightMode,
 };
 use hotspot_nn::Matrix;
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::OnceCell;
 
 /// Everything a batch selector may inspect about the current query set `Q`.
 ///
 /// Rows of `logits` / `probabilities` / `embeddings` correspond 1:1 to query
 /// clips; returned indices are positions in this query set, not benchmark
 /// indices.
+///
+/// The context owns the selection's Eq. 6 and Eq. 7 scores, each computed on
+/// first use and then shared; its inputs are private, so no score outlives
+/// the inputs it was computed from.
 #[derive(Debug)]
 pub struct SelectionContext<'a> {
-    /// Raw model logits of the query clips (`n × 2`).
-    pub logits: &'a Matrix,
+    logits: &'a Matrix,
     /// Calibrated two-class probabilities, row-major `n × 2` (Eq. 5).
-    pub probabilities: &'a [f32],
-    /// Penultimate-layer embeddings of the query clips.
-    pub embeddings: &'a Matrix,
-    /// Batch size to select.
-    pub k: usize,
+    probabilities: &'a [f32],
+    embeddings: &'a Matrix,
+    k: usize,
     /// Decision boundary `h` of Eq. 6.
-    pub boundary_h: f32,
+    boundary_h: f32,
     /// Weighting mode for combining the two scores.
-    pub weight_mode: WeightMode,
+    weight_mode: WeightMode,
     /// Component ablation switches.
-    pub ablation: AblationConfig,
+    ablation: AblationConfig,
     /// Deterministic seed for stochastic selectors.
-    pub rng_seed: u64,
+    rng_seed: u64,
+    uncertainty: OnceCell<Vec<f32>>,
+    diversity: OnceCell<Vec<f32>>,
 }
 
-impl SelectionContext<'_> {
+impl<'a> SelectionContext<'a> {
+    /// The context of one selection over a query set, taking the batch
+    /// size, boundary, weighting mode and ablation switches from `config`.
+    pub fn new(
+        logits: &'a Matrix,
+        probabilities: &'a [f32],
+        embeddings: &'a Matrix,
+        config: &SamplingConfig,
+        rng_seed: u64,
+    ) -> Self {
+        SelectionContext {
+            logits,
+            probabilities,
+            embeddings,
+            k: config.batch,
+            boundary_h: config.boundary_h,
+            weight_mode: config.weight_mode,
+            ablation: config.ablation,
+            rng_seed,
+            uncertainty: OnceCell::new(),
+            diversity: OnceCell::new(),
+        }
+    }
+
+    /// Raw model logits of the query clips (`n × 2`).
+    pub fn logits(&self) -> &'a Matrix {
+        self.logits
+    }
+
+    /// Penultimate-layer embeddings of the query clips.
+    pub fn embeddings(&self) -> &'a Matrix {
+        self.embeddings
+    }
+
+    /// Batch size to select.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// Number of query clips.
     pub fn len(&self) -> usize {
         self.logits.rows()
@@ -42,11 +84,24 @@ impl SelectionContext<'_> {
     pub fn is_empty(&self) -> bool {
         self.logits.rows() == 0
     }
+
+    /// Hotspot-aware calibrated uncertainty of every query clip (Eq. 6).
+    pub fn uncertainty(&self) -> &[f32] {
+        self.uncertainty
+            .get_or_init(|| uncertainty_scores(self.probabilities, self.boundary_h))
+    }
+
+    /// Min-distance diversity of every query clip (Eq. 7): one
+    /// O(n²·dim) pass per context.
+    pub fn diversity(&self) -> &[f32] {
+        self.diversity
+            .get_or_init(|| diversity_scores(self.embeddings))
+    }
 }
 
 /// A batch-mode selection strategy: picks up to `k` query-set rows to label.
 pub trait BatchSelector: std::fmt::Debug {
-    /// Selects query-set indices (unique, at most `ctx.k`).
+    /// Selects query-set indices (unique, at most `ctx.k()`).
     fn select(&mut self, ctx: &SelectionContext<'_>) -> Vec<usize>;
 
     /// Short name used in experiment tables.
@@ -81,36 +136,27 @@ impl BatchSelector for EntropySelector {
         }
         let use_u = ctx.ablation.uncertainty;
         let use_d = ctx.ablation.diversity;
-        let f = if use_u {
-            uncertainty_scores(ctx.probabilities, ctx.boundary_h)
-        } else {
-            vec![0.0; ctx.len()]
-        };
-        let d = if use_d {
-            diversity_scores(ctx.embeddings)
-        } else {
-            vec![0.0; ctx.len()]
-        };
+        let zeros = vec![0.0; ctx.len()];
+        let f = if use_u { ctx.uncertainty() } else { &zeros };
+        let d = if use_d { ctx.diversity() } else { &zeros };
         let scores = match (use_u, use_d) {
-            (true, false) => normalize_scores(&f),
-            (false, true) => normalize_scores(&d),
+            (true, false) => normalize_scores(f),
+            (false, true) => normalize_scores(d),
             _ => {
                 let (w1, w2) = match ctx.weight_mode {
-                    WeightMode::Entropy => entropy_weights(&f, &d),
+                    WeightMode::Entropy => entropy_weights(f, d),
                     WeightMode::Fixed { omega2 } => (1.0 - omega2, omega2),
                 };
                 self.last_weights = Some((w1, w2));
-                let nf = normalize_scores(&f);
-                let nd = normalize_scores(&d);
+                let nf = normalize_scores(f);
+                let nd = normalize_scores(d);
                 nf.iter()
                     .zip(&nd)
                     .map(|(&a, &b)| (w1 * a as f64 + w2 * b as f64) as f32)
                     .collect()
             }
         };
-        let picked = top_k(&scores, ctx.k);
-        record_selection(self.name(), ctx.len(), picked.len());
-        picked
+        top_k(&scores, ctx.k)
     }
 
     fn name(&self) -> &'static str {
@@ -139,10 +185,7 @@ impl BatchSelector for UncertaintySelector {
         if ctx.is_empty() || ctx.k == 0 {
             return Vec::new();
         }
-        let f = uncertainty_scores(ctx.probabilities, ctx.boundary_h);
-        let picked = top_k(&f, ctx.k);
-        record_selection(self.name(), ctx.len(), picked.len());
-        picked
+        top_k(ctx.uncertainty(), ctx.k)
     }
 
     fn name(&self) -> &'static str {
@@ -167,7 +210,6 @@ impl BatchSelector for RandomSelector {
         let mut indices: Vec<usize> = (0..ctx.len()).collect();
         indices.shuffle(&mut rng);
         indices.truncate(ctx.k);
-        record_selection(self.name(), ctx.len(), indices.len());
         indices
     }
 
@@ -177,10 +219,10 @@ impl BatchSelector for RandomSelector {
 }
 
 /// Records a completed batch selection: accumulates the pool size into the
-/// `selector.query.size` counter and emits a debug event. Selector
-/// implementations (here and in the baselines crate) call this once per
-/// [`BatchSelector::select`] so query volume is comparable across methods.
-pub fn record_selection(name: &'static str, pool: usize, picked: usize) {
+/// `selector.query.size` counter and emits a debug event. The framework
+/// calls this once per [`BatchSelector::select`], whatever the selector, so
+/// query volume is comparable across methods.
+pub(crate) fn record_selection(name: &'static str, pool: usize, picked: usize) {
     hotspot_telemetry::counter(hotspot_telemetry::names::SELECTOR_QUERY_SIZE).add(pool as u64);
     hotspot_telemetry::counter(hotspot_telemetry::names::SELECTOR_BATCHES).incr();
     hotspot_telemetry::debug(
@@ -217,16 +259,12 @@ mod tests {
         embeddings: &'a Matrix,
         k: usize,
     ) -> SelectionContext<'a> {
-        SelectionContext {
-            logits,
-            probabilities,
-            embeddings,
-            k,
-            boundary_h: 0.4,
-            weight_mode: WeightMode::Entropy,
-            ablation: AblationConfig::default(),
-            rng_seed: 7,
-        }
+        // h = 0.4, entropy weighting, every component switched on.
+        let config = SamplingConfig {
+            batch: k,
+            ..SamplingConfig::for_benchmark(100)
+        };
+        SelectionContext::new(logits, probabilities, embeddings, &config, 7)
     }
 
     /// Four query clips: two confident non-hotspots (one a duplicate),
@@ -346,6 +384,22 @@ mod tests {
         let ctx = context(&logits, &probs, &emb, 99);
         let picked = EntropySelector::new().select(&ctx);
         assert_eq!(picked.len(), 4);
+    }
+
+    #[test]
+    fn scores_are_computed_once_and_shared() {
+        let (logits, probs, emb) = fixture();
+        let ctx = context(&logits, &probs, &emb, 2);
+        let _ = UncertaintySelector::new().select(&ctx);
+        assert!(ctx.uncertainty.get().is_some() && ctx.diversity.get().is_none());
+        let _ = EntropySelector::new().select(&ctx);
+        let diversity = ctx
+            .diversity
+            .get()
+            .expect("entropy selection scores diversity");
+        assert!(std::ptr::eq(ctx.diversity(), diversity.as_slice()));
+        assert_eq!(ctx.uncertainty(), uncertainty_scores(&probs, 0.4));
+        assert_eq!(ctx.diversity(), diversity_scores(&emb));
     }
 
     #[test]

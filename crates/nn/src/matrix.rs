@@ -119,6 +119,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The flat row-major buffer, without a copy.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Matrix product `self · other`.
     ///
     /// # Errors
@@ -302,6 +307,22 @@ impl Matrix {
                 *v = (*v - m) / s;
             }
         }
+    }
+
+    /// A copy with every row divided by its ℓ2 norm; (near-)zero rows are
+    /// left as they are. The diversity scores (Eq. 7–8) and the QP
+    /// baseline's similarity kernel both read embeddings through here.
+    pub fn l2_normalized_rows(&self) -> Matrix {
+        let mut out = self.clone();
+        for row in out.data.chunks_exact_mut(self.cols.max(1)) {
+            let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
+            if norm > 1e-12 {
+                for v in row.iter_mut() {
+                    *v /= norm;
+                }
+            }
+        }
+        out
     }
 }
 

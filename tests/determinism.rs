@@ -3,8 +3,8 @@
 //! numbers citable.
 
 use lithohd::active::{
-    standardized_dct, AblationConfig, BatchSelector, EntropySelector, HotspotModel, SamplingConfig,
-    SamplingFramework, SelectionContext, WeightMode,
+    standardized_dct, BatchSelector, EntropySelector, HotspotModel, SamplingConfig,
+    SamplingFramework, SelectionContext,
 };
 use lithohd::baselines::QpSelector;
 use lithohd::gmm::{GaussianMixture, GmmConfig};
@@ -217,16 +217,12 @@ fn qp_picks_match_pinned_digest() {
     let mut h = Fnv1a::new();
     for lambda in [0.0, 1.0] {
         for k in [1usize, 10, 25] {
-            let ctx = SelectionContext {
-                logits: &logits,
-                probabilities: &probabilities,
-                embeddings: &embeddings,
-                k,
+            let config = SamplingConfig {
+                batch: k,
                 boundary_h: 0.5,
-                weight_mode: WeightMode::Entropy,
-                ablation: AblationConfig::default(),
-                rng_seed: 0,
+                ..SamplingConfig::for_benchmark(x.rows())
             };
+            let ctx = SelectionContext::new(&logits, &probabilities, &embeddings, &config, 0);
             let picked = QpSelector::with_lambda(lambda).select(&ctx);
             h.u64(picked.len() as u64);
             for i in picked {

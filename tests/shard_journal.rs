@@ -5,7 +5,8 @@
 //! Litho#.
 //!
 //! The single-worker journal is also pinned to a digest, so a change that
-//! moves any selection score, event or counter shows here.
+//! moves any selection score, event or counter shows here, and each
+//! selection is scored once even with the journal's provenance events on.
 //!
 //! Journals are fed by the process-wide telemetry sinks and metrics
 //! registry, so this lives in its own test binary with a single test.
@@ -14,7 +15,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hotspot_bench::{ActiveMethod, RunPlan, ShardSpec};
-use hotspot_telemetry::{self as telemetry, JsonlSink, Sink};
+use hotspot_telemetry::{self as telemetry, names, JsonlSink, Sink};
 use lithohd::active::SamplingConfig;
 use lithohd::layout::{BenchmarkSpec, GeneratedBenchmark, Tech};
 
@@ -105,7 +106,18 @@ fn worker_count_does_not_change_canonical_journal_bytes() {
             "lithohd-shard-journal-{workers}-{}.jsonl",
             std::process::id()
         ));
+        let count = |name| telemetry::counter(name).get();
+        let diversity_before = count(names::KERNEL_DIVERSITY_CALLS);
+        let batches_before = count(names::SELECTOR_BATCHES);
         journals.push(journalled_campaign(&path, &bench, &config, workers));
+        // The `clip selected` events read the selection's own scores, so
+        // every method pays exactly one Eq. 7 pass per batch: the
+        // selector's, or the event's when the selector skips diversity.
+        assert_eq!(
+            count(names::KERNEL_DIVERSITY_CALLS) - diversity_before,
+            count(names::SELECTOR_BATCHES) - batches_before,
+            "diversity passes per selection with a journal attached"
+        );
     }
     let (one, one_outcomes) = &journals[0];
     let (four, four_outcomes) = &journals[1];
